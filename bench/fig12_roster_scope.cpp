@@ -147,7 +147,7 @@ failover_sample measure_failover(harness::experiment& exp) {
     const time_point converged_at = sim.now();
     sample.recovery_s = to_seconds(converged_at - crash_at);
     sample.budget =
-        exp.attribute_outage(victim, crash_at, converged_at, successor);
+        exp.attribute_outage_dag(victim, crash_at, converged_at, successor);
   }
   exp.recover_node(victim);
   sim.run_until(sim.now() + sec(10));  // let it rejoin cleanly

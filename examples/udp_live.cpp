@@ -4,8 +4,7 @@
 // The paper's implementation ran as a C daemon over UDP on a LAN. This
 // example runs three unmodified service instances on localhost — all
 // hosted on a two-loop `runtime::loop_pool`, each with its own batched
-// `loop_udp_transport` socket (DESIGN.md §10) instead of the historical
-// one-engine-plus-two-threads per workstation — elects a leader in real
+// `loop_udp_transport` socket (DESIGN.md §10) — elects a leader in real
 // time, kills the leader's instance on its live loop, and watches the
 // survivors re-elect within the FD detection bound.
 //
@@ -13,13 +12,13 @@
 // a trace ring with the causal plane on (wire-stamped cause ids + the
 // monotonic wall clock), and — when OMEGA_LIVE_HTTP_PORT is set — a live
 // /metrics + /trace HTTP endpoint that scripts/ci.sh scrapes mid-run. The
-// /metrics page now also carries the runtime families (send-error classes,
-// queue backpressure, per-loop syscall counters) next to the service
-// counters. At the end the merged rings are rebuilt into a causal DAG on
-// the wall timeline (no shared engine clock exists between the instances)
-// and the run fails unless >= 95% of the failover's events link back to
-// root-cause evidence about the victim — the same forensics gate the sim
-// harness enforces, on a real-UDP run.
+// /metrics page carries the runtime families (send-error classes, queue
+// backpressure, per-loop syscall counters) next to the service counters.
+// At the end the merged rings are rebuilt into a causal DAG on the wall
+// timeline (the two loops share no engine clock), and the run fails unless
+// >= 95% of the failover's events link back to root-cause evidence about
+// the victim — the same forensics gate the sim harness enforces, on a
+// real-UDP run.
 //
 // (Total wall-clock runtime: about 6 seconds, plus OMEGA_LIVE_LINGER_MS.)
 #include <algorithm>
@@ -42,7 +41,6 @@
 #include "obs/trace.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/loop_transport.hpp"
-#include "runtime/real_time.hpp"
 #include "service/service.hpp"
 
 using namespace omega;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# One-command pipeline: tier-1 verify (configure + build + ctest), the same
-# test suite under ASan+UBSan, plus a bench smoke run whose JSON artifacts
-# are validated. Mirrors the "Tier-1 verify" line in ROADMAP.md.
+# One-command pipeline: tier-1 verify (configure + build + ctest), the repo
+# benchmark's build and selftest, the same test suite under ASan+UBSan,
+# plus a bench smoke run whose JSON artifacts are validated. Mirrors the
+# "Tier-1 verify" line in ROADMAP.md.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -9,6 +10,17 @@ cd "$(dirname "$0")/.."
 cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j"$(nproc)")
+
+# The repo benchmark (BENCHMARK.json, e2ebench/) compiles src/ on its own,
+# so build it against every src/ change here instead of finding a broken
+# benchmark build later. Same directory and configuration as
+# e2ebench/run.py, which reuses this tree.
+bench_generator=()
+if command -v ninja > /dev/null; then bench_generator=(-G Ninja); fi
+cmake -S e2ebench -B .bench_build/cmake -DCMAKE_BUILD_TYPE=Release \
+  "${bench_generator[@]}"
+cmake --build .bench_build/cmake --target e2ebench e2ebench_selftest -j
+./.bench_build/cmake/e2ebench_selftest
 
 # Sanitizer pass: the full unit/integration suite under AddressSanitizer +
 # UndefinedBehaviorSanitizer (fatal on first finding).

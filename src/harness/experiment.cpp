@@ -498,15 +498,6 @@ void experiment::publish_http() {
                  std::string(obs::http_endpoint::trace_content_type));
 }
 
-obs::outage_budget experiment::attribute_outage(
-    node_id victim, time_point start, time_point end,
-    std::optional<process_id> resolved_leader) const {
-  const auto merged = merged_trace();
-  // The harness runs pid i on node i.
-  return obs::attribute_outage(merged, victim, process_id{victim.value()},
-                               start, end, resolved_leader);
-}
-
 std::uint64_t experiment::total_alive_sent() const {
   std::uint64_t total = dead_alive_sent_;
   for (const auto& ws : nodes_) {

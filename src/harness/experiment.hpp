@@ -145,13 +145,6 @@ class experiment {
   /// Re-exports every live instance's service_stats into its registry
   /// (crashes export automatically before the instance dies).
   void export_metrics();
-  /// Forensics over the merged trace: attributes the outage of `victim`'s
-  /// leadership over [start, end] (see obs::attribute_outage; the harness
-  /// runs pid i on node i).
-  [[nodiscard]] obs::outage_budget attribute_outage(
-      node_id victim, time_point start, time_point end,
-      std::optional<process_id> resolved_leader = std::nullopt) const;
-
   /// Harness-level registry: metrics that belong to the run rather than to
   /// one node (the sim profiler's per-kind handler-time histograms).
   [[nodiscard]] obs::registry& sim_registry() { return sim_metrics_; }
@@ -159,9 +152,10 @@ class experiment {
   /// Rebuilds the causal DAG from the merged per-node rings (meaningful on
   /// `scenario::causal` runs; without stamping every event is a root).
   [[nodiscard]] obs::causal_graph build_causal_graph() const;
-  /// DAG-based outage attribution — same contract as `attribute_outage`,
-  /// but phase boundaries come from causal links instead of the time
-  /// window alone (obs::causal_graph::attribute_outage, sim timeline).
+  /// Forensics over the merged trace: attributes the outage of `victim`'s
+  /// leadership over [start, end] on the causal DAG
+  /// (obs::causal_graph::attribute_outage, sim timeline; the harness runs
+  /// pid i on node i).
   [[nodiscard]] obs::outage_budget attribute_outage_dag(
       node_id victim, time_point start, time_point end,
       std::optional<process_id> resolved_leader = std::nullopt) const;

@@ -3,8 +3,9 @@
 // The service exchanges small datagrams (ALIVE, HELLO, ACCUSE, ...) between
 // workstations. `transport` is the only way protocol code touches the
 // network, so the same service runs over the simulated network
-// (`net::sim_network`) or over real UDP sockets (`runtime::udp_transport`).
-// Datagram semantics match UDP: unordered, unreliable, no connection state.
+// (`net::sim_network`) or over real UDP sockets hosted on an event loop
+// (`runtime::loop_udp_transport`). Datagram semantics match UDP: unordered,
+// unreliable, no connection state.
 #pragma once
 
 #include <cstddef>
@@ -44,23 +45,18 @@ class transport {
 
   /// Zero-copy variants: the sender encodes once into a buffer from
   /// `pool()` and the transport shares references instead of copying per
-  /// destination. Transports that can hold the bytes beyond the call (the
-  /// simulated network's in-flight delivery events) override these; the
-  /// defaults forward to the span paths, which is exactly right for real
-  /// sockets (the kernel copies the datagram immediately anyway).
-  virtual void send(node_id dst, shared_payload payload) {
-    send(dst, payload.bytes());
-  }
+  /// destination (the simulated network's in-flight delivery events, the
+  /// loop transport's send ring).
+  virtual void send(node_id dst, shared_payload payload) = 0;
   virtual void multicast(std::span<const node_id> dsts,
-                         shared_payload payload) {
-    for (node_id dst : dsts) send(dst, payload);
-  }
+                         shared_payload payload) = 0;
 
   /// Buffer pool senders encode into; buffers sealed from it are recycled
   /// once the last in-flight reference drops. The simulated network shares
   /// one pool across all its endpoints (the free list is sized by the
-  /// cluster-wide ALIVE/HELLO working set).
-  [[nodiscard]] virtual payload_pool& pool() { return own_pool_; }
+  /// cluster-wide ALIVE/HELLO working set); loop transports share their
+  /// loop's.
+  [[nodiscard]] virtual payload_pool& pool() = 0;
 
   /// The node this endpoint belongs to.
   [[nodiscard]] virtual node_id local_node() const = 0;
@@ -68,11 +64,6 @@ class transport {
   /// Installs the upcall for incoming datagrams, replacing any previous one.
   /// Pass an empty function to mute the endpoint (e.g. while "crashed").
   virtual void set_receive_handler(receive_handler handler) = 0;
-
- private:
-  /// Per-endpoint fallback pool for transports that don't override `pool()`
-  /// (the real-UDP endpoint: buffers recycle as soon as `send` returns).
-  payload_pool own_pool_;
 };
 
 /// Per-node traffic totals (both directions), used for the bandwidth and

@@ -148,8 +148,7 @@ outage_budget causal_graph::attribute_outage(
   b.end = end;
   if (end <= start) return b;
 
-  // Detection: earliest victim evidence in the window, on any node —
-  // identical to the windowed forensics rule.
+  // Detection: earliest victim evidence in the window, on any node.
   std::optional<time_point> t_detect;
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const auto at = at_on(events_[i], tl);
@@ -164,7 +163,7 @@ outage_budget causal_graph::attribute_outage(
   // Engagement: the earliest survivor engagement the DAG links to the
   // victim evidence — causally certified, not merely co-timed. When no
   // engagement is linked (stamping off, rings wrapped), fall back to the
-  // windowed rule so both attributions stay comparable.
+  // earliest engagement in the window.
   const std::vector<char> anchored =
       anchor_victim_evidence(victim_node, victim_pid);
   std::optional<time_point> t_engage_linked;

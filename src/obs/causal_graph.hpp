@@ -16,11 +16,12 @@
 //     is explained": the fraction of causally potent events in the outage
 //     window that are — or transitively descend from — root-cause evidence
 //     about the victim (a suspicion of its node, an accusation naming it).
-//   * `attribute_outage` ports obs/forensics.hpp to the DAG: identical
-//     phase rules (shared predicates), but the engagement boundary prefers
-//     events the DAG actually links to the victim evidence, and the whole
-//     attribution can run on the wall-clock timeline (`timeline::wall`)
-//     where sim time is meaningless.
+//   * `attribute_outage` splits an outage window into the phases of
+//     obs/forensics.hpp. The engagement boundary prefers events the DAG
+//     actually links to the victim evidence; on a trace without cause
+//     stamps nothing links and it is simply the earliest engagement in the
+//     window. The whole attribution can run on the wall-clock timeline
+//     (`timeline::wall`) where sim time is meaningless.
 //   * `wall_skew_violations` sanity-checks the dual timestamps (satellite:
 //     DAG edges vs. wall-clock skew): causality can never run backwards on
 //     a shared monotonic clock, so a child with an earlier wall stamp than
@@ -76,11 +77,13 @@ class causal_graph {
                                        time_point end,
                                        timeline tl = timeline::sim) const;
 
-  /// DAG port of obs/forensics.hpp attribute_outage: the same three-phase
-  /// tiling with the same evidence predicates, except the engagement
-  /// boundary is the earliest engagement *linked to the victim evidence*
-  /// (falling back to any engagement when none is linked — exactly the
-  /// window heuristic). On `timeline::wall`, start/end and the budget's
+  /// Attributes the outage window (start, end] to the three phases of
+  /// obs/forensics.hpp. Detection ends at the earliest victim evidence on
+  /// any node; the engagement boundary is the earliest engagement *linked
+  /// to the victim evidence*, falling back to the earliest engagement in
+  /// the window when none is linked (stamping off, rings wrapped).
+  /// `resolved_leader`, when known, restricts the leader_change evidence to
+  /// the leader that won. On `timeline::wall`, start/end and the budget's
   /// time points live on the wall clock (time_point{usec(wall_us)}).
   [[nodiscard]] outage_budget attribute_outage(
       node_id victim_node, process_id victim_pid, time_point start,

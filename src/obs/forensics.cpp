@@ -1,7 +1,5 @@
 #include "obs/forensics.hpp"
 
-#include <algorithm>
-
 namespace omega::obs {
 
 bool victim_evidence(const trace_event& ev, node_id victim_node,
@@ -38,42 +36,6 @@ bool election_engagement(const trace_event& ev, node_id victim_node,
     default:
       return false;
   }
-}
-
-outage_budget attribute_outage(std::span<const trace_event> events,
-                               node_id victim_node, process_id victim_pid,
-                               time_point start, time_point end,
-                               std::optional<process_id> resolved_leader) {
-  outage_budget b;
-  b.victim = victim_node;
-  b.start = start;
-  b.end = end;
-  if (end <= start) return b;
-
-  // Earliest detection of the victim anywhere in the window.
-  std::optional<time_point> t_detect;
-  for (const trace_event& ev : events) {
-    if (ev.at <= start || ev.at > end) continue;
-    if (!victim_evidence(ev, victim_node, victim_pid)) continue;
-    if (!t_detect || ev.at < *t_detect) t_detect = ev.at;
-  }
-  if (!t_detect) return b;
-  b.saw_detection = true;
-  b.detection_s = to_seconds(*t_detect - start);
-
-  // Earliest election engagement by a survivor at or after detection.
-  std::optional<time_point> t_engage;
-  for (const trace_event& ev : events) {
-    if (ev.at < *t_detect || ev.at > end) continue;
-    if (!election_engagement(ev, victim_node, victim_pid, resolved_leader))
-      continue;
-    if (!t_engage || ev.at < *t_engage) t_engage = ev.at;
-  }
-  if (!t_engage) return b;
-  b.saw_engagement = true;
-  b.dissemination_s = to_seconds(*t_engage - *t_detect);
-  b.election_s = to_seconds(end - *t_engage);
-  return b;
 }
 
 }  // namespace omega::obs

@@ -1,8 +1,9 @@
-// Failover forensics: attributing a leadership outage's latency budget.
+// Failover forensics vocabulary: the latency budget of one leadership
+// outage and the evidence rules that split it.
 //
-// Given the merged multi-node trace around one leadership outage — from
-// the instant the old leader died (`start`) to the instant the cluster
-// agreed on a live replacement (`end`) — `attribute_outage` partitions the
+// An outage runs from the instant the old leader died (`start`) to the
+// instant the cluster agreed on a live replacement (`end`).
+// `causal_graph::attribute_outage` (obs/causal_graph.hpp) partitions that
 // window into the three phases the paper's analysis distinguishes:
 //
 //   detection      start .. first suspicion of the victim anywhere
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 
 #include "common/ids.hpp"
 #include "common/stats.hpp"
@@ -55,18 +55,7 @@ struct outage_budget {
   }
 };
 
-/// Replays `events` (any order; filtered to (start, end]) and attributes
-/// the outage window. `victim_node` / `victim_pid` identify the crashed
-/// leader; `resolved_leader`, when known, restricts the final
-/// leader_change evidence to the leader the experiment says won.
-[[nodiscard]] outage_budget attribute_outage(
-    std::span<const trace_event> events, node_id victim_node,
-    process_id victim_pid, time_point start, time_point end,
-    std::optional<process_id> resolved_leader = std::nullopt);
-
-/// The two evidence predicates the attribution is built from, shared with
-/// the causal-DAG variant (obs/causal_graph.hpp) so both attribute with
-/// identical rules.
+/// The two evidence predicates the attribution is built from.
 ///
 /// Detection evidence: the event is direct FD/eviction evidence about the
 /// victim (a suspicion of its node, an accusation naming it, its eviction).

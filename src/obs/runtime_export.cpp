@@ -3,7 +3,6 @@
 #include <string>
 
 #include "runtime/loop_transport.hpp"
-#include "runtime/udp_transport.hpp"
 
 namespace omega::obs {
 
@@ -53,11 +52,6 @@ void export_transport_stats(registry& reg,
                             const runtime::loop_udp_transport& transport) {
   export_transport_stats(reg, transport.local_node(), transport.stats(),
                          transport.queue_depth());
-}
-
-void export_transport_stats(registry& reg,
-                            const runtime::udp_transport& transport) {
-  export_transport_stats(reg, transport.local_node(), transport.stats());
 }
 
 void export_loop_stats(registry& reg, std::uint64_t loop_index,

@@ -23,7 +23,6 @@
 
 namespace omega::runtime {
 class loop_udp_transport;
-class udp_transport;
 }  // namespace omega::runtime
 
 namespace omega::obs {
@@ -34,11 +33,9 @@ void export_transport_stats(registry& reg, node_id node,
                             const runtime::transport_net_stats& stats,
                             std::uint64_t queue_depth = 0);
 
-/// Convenience overloads reading the transport's own counters.
+/// Convenience overload reading the transport's own counters.
 void export_transport_stats(registry& reg,
                             const runtime::loop_udp_transport& transport);
-void export_transport_stats(registry& reg,
-                            const runtime::udp_transport& transport);
 
 /// Publishes one loop's syscall/datagram counters under a loop label.
 /// `stats` should be a coherent snapshot (event_loop::stats_snapshot).

@@ -16,9 +16,10 @@
 //     per-recorder sequence number, so wraparound never loses ordering and
 //     the dropped-event count is exact.
 //
-// The failover-forensics pass (obs/forensics.hpp) replays the merged
-// multi-node event stream around a leadership outage; obs/exposition.hpp
-// dumps rings as JSONL for offline tooling.
+// The failover forensics (obs/causal_graph.hpp, with the phase rules of
+// obs/forensics.hpp) replay the merged multi-node event stream around a
+// leadership outage; obs/exposition.hpp dumps rings as JSONL for offline
+// tooling.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 // Umbrella header for the omega-election library.
 //
 // Pulls in the entire public API: the service facade, the election
-// algorithms, both substrates (deterministic simulator and real-time UDP
-// runtime), and the experiment harness. Fine-grained includes are under
+// algorithms, both substrates (deterministic simulator and the event-loop
+// UDP runtime), and the experiment harness. Fine-grained includes are under
 // the individual module directories; this header is for applications that
 // just want the service.
 //
@@ -26,7 +26,7 @@
 #include "metrics/group_metrics.hpp"
 #include "net/link_model.hpp"
 #include "net/sim_network.hpp"
-#include "runtime/real_time.hpp"
-#include "runtime/udp_transport.hpp"
+#include "runtime/event_loop.hpp"
+#include "runtime/loop_transport.hpp"
 #include "service/service.hpp"
 #include "sim/simulator.hpp"

@@ -1,7 +1,7 @@
-// Shared address plumbing of the real-socket runtime: roster endpoints,
-// sockaddr conversion, the (addr, port) -> node classification key, and the
-// per-transport I/O error accounting both UDP transports export through the
-// observability registry (obs/runtime_export.hpp).
+// Address plumbing of the real-socket runtime: roster endpoints, the
+// (addr, port) -> node classification key, and the per-transport I/O error
+// accounting `loop_udp_transport` exports through the observability
+// registry (obs/runtime_export.hpp).
 #pragma once
 
 #include <netinet/in.h>
@@ -31,13 +31,11 @@ using udp_roster = std::unordered_map<node_id, udp_endpoint>;
   return (static_cast<std::uint64_t>(addr) << 16) | port;
 }
 
-/// Per-transport datagram and error accounting. Send failures used to be
-/// void-cast away at the socket boundary — indistinguishable from network
-/// loss even when the box itself was the bottleneck. Now every failed
-/// write is classified (EAGAIN = socket buffer full, ENOBUFS = kernel out
-/// of buffer space, other = everything else) and queue pressure on the
-/// batched path is surfaced, so a saturated host is visible in /metrics
-/// instead of masquerading as a lossy LAN.
+/// Per-transport datagram and error accounting. Every failed write is
+/// classified (EAGAIN = socket buffer full, ENOBUFS = kernel out of buffer
+/// space, other = everything else) and queue pressure on the batched path
+/// is surfaced, so a saturated host is visible in /metrics instead of
+/// masquerading as a lossy LAN.
 struct transport_net_stats {
   std::uint64_t datagrams_sent = 0;
   std::uint64_t datagrams_received = 0;

@@ -121,9 +121,6 @@ void event_loop::sync(const std::function<void()>& fn) {
 void event_loop::stop() {
   {
     std::lock_guard lock(mu_);
-    if (stopping_) {
-      // Already asked to stop; just make sure the thread is joined below.
-    }
     stopping_ = true;
   }
   wake();

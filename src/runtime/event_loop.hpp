@@ -1,14 +1,12 @@
-// Shared epoll driver: one loop thread hosting many service instances.
+// The real-time runtime: one epoll-driven loop thread hosting any number of
+// service instances.
 //
-// The original real-socket runtime paired every `udp_transport` with its own
-// blocking-recvfrom thread and every service with its own
-// `real_time_engine` loop thread — two threads per service instance, which
-// caps "hundreds of services on one box" long before the protocol does. An
-// `event_loop` collapses both onto one epoll-driven thread: it implements
-// the `clock_source`/`timer_service` pair the protocol stack is written
-// against *and* owns the UDP sockets of every `loop_udp_transport`
-// registered with it, so N services cost one thread, one epoll fd and one
-// timer wheel instead of 2N threads.
+// An `event_loop` implements the `clock_source`/`timer_service` pair the
+// protocol stack is written against *and* owns the UDP sockets of every
+// `loop_udp_transport` registered with it, so N services cost one thread,
+// one epoll fd and one timer map. A one-loop `loop_pool` is the
+// small-deployment case; a few loops spread hundreds of services over a
+// few cores.
 //
 // Syscall batching (DESIGN.md §10): in batched mode (the default) outbound
 // datagrams are not written with one sendto(2) each. Every transport keeps
@@ -23,14 +21,14 @@
 // their datagrams arriving in recvmmsg-sized bursts.
 //
 // Threading: everything protocol-visible (timers, receive handlers, sends,
-// the payload pool) runs on the loop thread, exactly like one
-// `real_time_engine` — services sharing a loop share its thread and are
-// never concurrent with each other. `post`/`sync` are the only
-// thread-safe entry points.
+// the payload pool) runs on the loop thread — services sharing a loop share
+// its thread and are never concurrent with each other. `post`/`sync` are
+// the only thread-safe entry points.
 #pragma once
 
 #include <netinet/in.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -49,6 +47,19 @@
 namespace omega::runtime {
 
 class loop_udp_transport;
+
+/// Raw monotonic wall clock in microseconds (std::chrono::steady_clock, no
+/// per-loop epoch). Loops' `now()` timelines each start at their own
+/// construction instant and are NOT comparable across loops; this is, for
+/// all loops and threads of one host. Deployments install it as the
+/// observability sink's wall-clock source (sink::set_wall_clock) so trace
+/// events carry the dual timestamp the causal DAG's cross-node skew check
+/// needs.
+[[nodiscard]] inline std::int64_t monotonic_wall_us() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// Loop-wide I/O accounting, owned by the loop thread (read it via
 /// `stats_snapshot`). Syscall counters cover every network-related syscall
@@ -82,8 +93,8 @@ class event_loop final : public clock_source, public timer_service {
   struct options {
     /// Batched syscalls (sendmmsg/recvmmsg + per-tick send rings). Off =
     /// the per-datagram baseline: every send is an immediate sendto(2),
-    /// every receive a single recvfrom(2) — today's one-syscall-per-
-    /// datagram model, kept as the measurable control in fig14_live.
+    /// every receive a single recvfrom(2) — the measurable control in
+    /// fig14_live.
     bool batching = true;
     /// Max datagrams per sendmmsg/recvmmsg call (and per rx buffer array).
     std::size_t batch = 64;
@@ -100,8 +111,9 @@ class event_loop final : public clock_source, public timer_service {
   event_loop(const event_loop&) = delete;
   event_loop& operator=(const event_loop&) = delete;
 
-  /// Monotonic time since loop start (every service on the loop shares
-  /// this timeline, like siblings on one `real_time_engine`).
+  /// Monotonic time since loop start. Every service on the loop shares
+  /// this timeline; other loops' timelines are not comparable to it (use
+  /// `monotonic_wall_us` across loops).
   [[nodiscard]] time_point now() const override;
 
   timer_id schedule_at(time_point when, unique_task fn) override;

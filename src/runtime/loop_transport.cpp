@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <system_error>
@@ -207,18 +208,23 @@ void loop_udp_transport::drain_rx() {
   const bool batching = loop_.opts().batching;
   if (!batching) {
     // Per-datagram baseline: one recvfrom(2) per datagram, until EAGAIN.
+    // MSG_TRUNC makes it return the datagram's full length, so an
+    // oversized one is detected like recvmmsg's msg_flags report it.
     for (;;) {
       sockaddr_in from{};
       socklen_t from_len = sizeof(from);
       ++loop_.stats_.recvfrom_calls;
       const ssize_t n = ::recvfrom(fd_, loop_.rx_buf_.data(),
-                                   event_loop::rx_slot_bytes, 0,
+                                   event_loop::rx_slot_bytes, MSG_TRUNC,
                                    reinterpret_cast<sockaddr*>(&from),
                                    &from_len);
       if (n < 0) return;  // EAGAIN: drained (or socket gone)
-      deliver(from, std::span<const std::byte>(loop_.rx_buf_.data(),
-                                               static_cast<std::size_t>(n)),
-              false);
+      const auto len = static_cast<std::size_t>(n);
+      deliver(from,
+              std::span<const std::byte>(
+                  loop_.rx_buf_.data(),
+                  std::min(len, event_loop::rx_slot_bytes)),
+              len > event_loop::rx_slot_bytes);
     }
   }
   const std::size_t batch = std::min<std::size_t>(loop_.opts().batch, 64);

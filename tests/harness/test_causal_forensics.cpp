@@ -2,8 +2,9 @@
 // a global-leader kill, and the DAG rebuilt from the merged per-node rings
 // must (a) link >= 95% of the failover's events back to root-cause
 // evidence about the victim, (b) attribute the outage into phase budgets
-// matching the windowed heuristic within 5%, and (c) expose the run over
-// the embedded HTTP endpoint. Also covers the sim profiler histograms.
+// within 5% of the same trace's attribution with cause ids cleared, and
+// (c) expose the run over the embedded HTTP endpoint. Also covers the sim
+// profiler histograms.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -134,18 +135,25 @@ TEST(CausalForensics, DagAttributionMatchesWindowedWithinFivePercent) {
   const double outage_s = to_seconds(f.converged_at - f.crash_at);
   ASSERT_GT(outage_s, 0.0);
 
-  const auto windowed =
-      exp.attribute_outage(f.victim, f.crash_at, f.converged_at, f.successor);
   const auto dag = exp.attribute_outage_dag(f.victim, f.crash_at,
                                             f.converged_at, f.successor);
+  // The same merged trace with every cause id cleared: each event is a
+  // root, nothing links, and the engagement boundary falls back to the
+  // earliest engagement in the window.
+  auto unstamped = exp.merged_trace();
+  for (auto& ev : unstamped) ev.cause = cause_id{};
+  const auto windowed = obs::causal_graph::build(unstamped).attribute_outage(
+      f.victim, process_id{f.victim.value()}, f.crash_at, f.converged_at,
+      f.successor);
 
   ASSERT_TRUE(dag.saw_detection);
   ASSERT_TRUE(dag.saw_engagement);
+  ASSERT_TRUE(windowed.saw_engagement);
   EXPECT_GE(dag.attributed_fraction(), 0.95);
   EXPECT_NEAR(dag.window_s(), outage_s, 1e-9);
 
-  // Same forensics, two reconstructions: each phase budget agrees with the
-  // windowed heuristic within 5% of the outage.
+  // Same forensics, two reconstructions: each phase budget of the stamped
+  // DAG agrees with the window rule within 5% of the outage.
   const double tol = outage_s * 0.05 + 1e-9;
   EXPECT_NEAR(dag.detection_s, windowed.detection_s, tol);
   EXPECT_NEAR(dag.dissemination_s, windowed.dissemination_s, tol);

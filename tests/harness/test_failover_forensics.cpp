@@ -91,7 +91,7 @@ TEST(FailoverForensics, AttributesGlobalLeaderOutageToNamedPhases) {
   ASSERT_GT(outage_s, 0.0);
 
   const auto budget =
-      exp.attribute_outage(victim, crash_at, converged_at, successor);
+      exp.attribute_outage_dag(victim, crash_at, converged_at, successor);
 
   // The acceptance gate: >= 95% of the measured re-election interval is
   // attributed to a named phase.

@@ -1,8 +1,14 @@
+// Outage attribution rules on hand-built traces without cause stamps:
+// every event is a root of its causal graph, so the engagement boundary is
+// the earliest engagement in the window.
 #include "obs/forensics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
+
+#include "obs/causal_graph.hpp"
 
 namespace omega::obs {
 namespace {
@@ -21,6 +27,13 @@ trace_event make(event_kind kind, duration at_offset, node_id node) {
   return ev;
 }
 
+outage_budget attribute(const std::vector<trace_event>& events,
+                        time_point start, time_point end,
+                        std::optional<process_id> resolved = std::nullopt) {
+  return causal_graph::build(events).attribute_outage(kVictimNode, kVictimPid,
+                                                      start, end, resolved);
+}
+
 TEST(Forensics, FullyEvidencedOutageTilesTheWindow) {
   std::vector<trace_event> events;
   // Victim crashes at t=10s; first suspicion at 12s; survivor enters the
@@ -37,8 +50,7 @@ TEST(Forensics, FullyEvidencedOutageTilesTheWindow) {
   lead.subject = kSurvivorPid;
   events.push_back(lead);
 
-  auto b = attribute_outage(events, kVictimNode, kVictimPid,
-                            time_origin + sec(10), time_origin + sec(15));
+  auto b = attribute(events, time_origin + sec(10), time_origin + sec(15));
   EXPECT_TRUE(b.saw_detection);
   EXPECT_TRUE(b.saw_engagement);
   EXPECT_NEAR(b.detection_s, 2.0, 1e-9);
@@ -56,8 +68,7 @@ TEST(Forensics, EarliestSuspicionAcrossNodesWins) {
     s.peer = kVictimNode;
     events.push_back(s);
   }
-  auto b = attribute_outage(events, kVictimNode, kVictimPid,
-                            time_origin + sec(10), time_origin + sec(20));
+  auto b = attribute(events, time_origin + sec(10), time_origin + sec(20));
   EXPECT_TRUE(b.saw_detection);
   EXPECT_NEAR(b.detection_s, 1.3, 1e-9);  // node 3's suspicion at 11.3s
 }
@@ -67,8 +78,7 @@ TEST(Forensics, IgnoresSuspicionsOfOtherNodes) {
   auto s = make(event_kind::suspicion_raised, sec(12), kSurvivor);
   s.peer = node_id{9};  // somebody else entirely
   events.push_back(s);
-  auto b = attribute_outage(events, kVictimNode, kVictimPid,
-                            time_origin + sec(10), time_origin + sec(20));
+  auto b = attribute(events, time_origin + sec(10), time_origin + sec(20));
   EXPECT_FALSE(b.saw_detection);
   EXPECT_DOUBLE_EQ(b.attributed_s(), 0.0);
 }
@@ -83,8 +93,7 @@ TEST(Forensics, VictimOwnEventsAreNotEngagement) {
   auto stale = make(event_kind::competition_enter, sec(13), kVictimNode);
   stale.subject = kVictimPid;
   events.push_back(stale);
-  auto b = attribute_outage(events, kVictimNode, kVictimPid,
-                            time_origin + sec(10), time_origin + sec(20));
+  auto b = attribute(events, time_origin + sec(10), time_origin + sec(20));
   EXPECT_TRUE(b.saw_detection);
   EXPECT_FALSE(b.saw_engagement);
   // Only the detection phase is evidenced.
@@ -104,14 +113,12 @@ TEST(Forensics, ResolvedLeaderRestrictsLeaderChangeEvidence) {
   right.subject = kSurvivorPid;
   events.push_back(right);
 
-  auto unrestricted = attribute_outage(events, kVictimNode, kVictimPid,
-                                       time_origin + sec(10),
-                                       time_origin + sec(15));
+  auto unrestricted =
+      attribute(events, time_origin + sec(10), time_origin + sec(15));
   EXPECT_NEAR(unrestricted.dissemination_s, 1.0, 1e-9);  // engaged at 12s
 
-  auto restricted = attribute_outage(events, kVictimNode, kVictimPid,
-                                     time_origin + sec(10),
-                                     time_origin + sec(15), kSurvivorPid);
+  auto restricted = attribute(events, time_origin + sec(10),
+                              time_origin + sec(15), kSurvivorPid);
   EXPECT_NEAR(restricted.dissemination_s, 3.0, 1e-9);  // engaged at 14s
 }
 
@@ -123,8 +130,7 @@ TEST(Forensics, EventsOutsideWindowAreIgnored) {
   auto after = make(event_kind::suspicion_raised, sec(21), kSurvivor);
   after.peer = kVictimNode;
   events.push_back(after);
-  auto b = attribute_outage(events, kVictimNode, kVictimPid,
-                            time_origin + sec(10), time_origin + sec(20));
+  auto b = attribute(events, time_origin + sec(10), time_origin + sec(20));
   EXPECT_FALSE(b.saw_detection);
 }
 
@@ -133,8 +139,7 @@ TEST(Forensics, EvictionCountsAsDetection) {
   auto evict = make(event_kind::member_evicted, sec(13), kSurvivor);
   evict.subject = kVictimPid;
   events.push_back(evict);
-  auto b = attribute_outage(events, kVictimNode, kVictimPid,
-                            time_origin + sec(10), time_origin + sec(20));
+  auto b = attribute(events, time_origin + sec(10), time_origin + sec(20));
   EXPECT_TRUE(b.saw_detection);
   EXPECT_NEAR(b.detection_s, 3.0, 1e-9);
 }

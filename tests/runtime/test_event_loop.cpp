@@ -1,7 +1,9 @@
-// Shared event-loop driver tests: timer/post/sync semantics, then the
-// scale-out integration — many real services on ONE loop thread over real
-// UDP sockets electing, losing and re-electing a leader, plus the teardown
-// edge cases (transport destroyed mid-traffic, port-0 rebind).
+// Event-loop tests: timer/post/sync semantics (including the
+// cross-thread eventfd wake), then the integration — many real services on
+// ONE loop thread over real UDP sockets electing, losing and re-electing a
+// leader, three services on three loops of a pool electing across threads,
+// plus the teardown edge cases (transport destroyed mid-traffic, port-0
+// rebind).
 //
 // Every wait is wall-clock bounded: a hang fails the test instead of the
 // suite.
@@ -9,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -83,6 +86,60 @@ TEST(EventLoop, CancelPreventsFiring) {
   });
   ASSERT_TRUE(wait_until([&] { return kept_ran.load(); }, 2000ms));
   EXPECT_FALSE(cancelled_ran.load());
+}
+
+TEST(EventLoop, CancelUnknownOrFiredIdIsNoop) {
+  event_loop loop;
+  std::atomic<bool> fired{false};
+  timer_id fired_id{};
+  loop.sync([&] {
+    fired_id = loop.schedule_after(msec(5), [&] { fired.store(true); });
+  });
+  ASSERT_TRUE(wait_until([&] { return fired.load(); }, 2000ms));
+  std::atomic<bool> kept_ran{false};
+  loop.sync([&] {
+    loop.cancel(timer_id{123456});  // never issued
+    loop.cancel(fired_id);          // already fired
+    loop.schedule_after(msec(5), [&] { kept_ran.store(true); });
+  });
+  EXPECT_TRUE(wait_until([&] { return kept_ran.load(); }, 2000ms))
+      << "a no-op cancel must not disturb later timers";
+}
+
+TEST(EventLoop, PostFromManyThreadsRunsEveryTask) {
+  event_loop loop;
+  std::atomic<int> count{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 50; ++i) loop.post([&] { count.fetch_add(1); });
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_TRUE(wait_until([&] { return count.load() == 200; }, 2000ms))
+      << count.load() << " of 200 posted tasks ran";
+}
+
+TEST(EventLoop, TimerRearmsItselfFromItsCallback) {
+  event_loop loop;
+  std::atomic<int> fires{0};
+  std::function<void()> tick = [&] {
+    if (fires.fetch_add(1) < 4) loop.schedule_after(msec(5), tick);
+  };
+  loop.sync([&] { loop.schedule_after(msec(5), tick); });
+  EXPECT_TRUE(wait_until([&] { return fires.load() >= 5; }, 2000ms))
+      << "self-re-arming timer stopped after " << fires.load() << " fires";
+}
+
+TEST(EventLoop, CrossThreadTimerWakesIdleLoop) {
+  // With no timers and no sockets the loop blocks in epoll_wait with no
+  // timeout; a timer armed from another thread must kick it through the
+  // eventfd, or it would never fire.
+  event_loop loop;
+  std::this_thread::sleep_for(20ms);  // let the loop settle into its wait
+  std::atomic<bool> fired{false};
+  loop.schedule_after(msec(5), [&] { fired.store(true); });
+  EXPECT_TRUE(wait_until([&] { return fired.load(); }, 2000ms));
 }
 
 TEST(EventLoop, TimerSlackClustersDueTimers) {
@@ -160,7 +217,7 @@ TEST(LoopPool, RoundRobinAssignment) {
   pool.stop_all();
 }
 
-// ---- integration: services sharing one loop ---------------------------------
+// ---- integration: services on loops ----------------------------------------
 
 struct instance {
   std::unique_ptr<loop_udp_transport> transport;
@@ -271,6 +328,64 @@ TEST(EventLoopCluster, ElectKillReelectOnSharedLoop) {
     }
   });
   loop.stop();
+}
+
+TEST(EventLoopCluster, ThreeLoopsElectWithinTwoSeconds) {
+  // Three services, each on its own loop of a pool, agree on a leader
+  // within two seconds of wall-clock time at a 300 ms detection bound:
+  // every datagram crosses loop threads, and each loop has its own clock.
+  constexpr std::size_t kNodes = 3;
+  loop_pool pool(kNodes);
+  udp_roster bind_roster;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    bind_roster[nid(i)] = udp_endpoint{"127.0.0.1", 0};
+  }
+  std::vector<instance> cluster(kNodes);
+  udp_roster real_roster;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    cluster[i].transport =
+        std::make_unique<loop_udp_transport>(pool.at(i), nid(i), bind_roster);
+    real_roster[nid(i)] =
+        udp_endpoint{"127.0.0.1", cluster[i].transport->bound_port()};
+  }
+  std::vector<node_id> roster;
+  for (std::size_t i = 0; i < kNodes; ++i) roster.push_back(nid(i));
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    event_loop& loop = pool.at(i);
+    loop.sync([&, i] {
+      cluster[i].transport->set_roster(real_roster);
+      service::service_config cfg;
+      cfg.self = nid(i);
+      cfg.roster = roster;
+      cfg.alg = election::algorithm::omega_lc;
+      cluster[i].svc = std::make_unique<service::leader_election_service>(
+          loop, loop, *cluster[i].transport, cfg);
+      cluster[i].svc->register_process(pid(i));
+      service::join_options opts;
+      opts.qos.detection_time = msec(300);
+      cluster[i].svc->join_group(pid(i), group_id{1}, opts);
+    });
+  }
+
+  const auto agreed_across_loops = [&] {
+    std::vector<std::optional<process_id>> views(kNodes);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      pool.at(i).sync(
+          [&, i] { views[i] = cluster[i].svc->leader(group_id{1}); });
+    }
+    return views[0].has_value() && views[1] == views[0] &&
+           views[2] == views[0];
+  };
+  EXPECT_TRUE(wait_until(agreed_across_loops, 2000ms))
+      << "no agreement across three loops within 2 s";
+
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    pool.at(i).sync([&, i] {
+      cluster[i].svc.reset();
+      cluster[i].transport.reset();
+    });
+  }
+  pool.stop_all();
 }
 
 TEST(EventLoopCluster, TeardownMidReceiveIsClean) {

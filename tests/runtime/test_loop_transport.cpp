@@ -1,11 +1,13 @@
 // Batched loop transport tests: the encode-once refcount contract (one
 // pooled buffer crosses the whole multicast fan-out and exactly one
-// sendmmsg), the per-errno send accounting, unknown-peer drops (counted
-// and traced), the per-datagram baseline mode, and the obs export bridge.
+// sendmmsg), the per-errno send accounting, truncated receives in both
+// modes, bind conflicts, unknown-peer drops (counted and traced), the
+// per-datagram baseline mode, and the obs export bridge.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -126,6 +128,58 @@ TEST(LoopTransport, OversizedSendCountedAsError) {
     EXPECT_EQ(cluster[0]->stats().send_err_eagain, 0u);
     EXPECT_EQ(cluster[0]->stats().datagrams_sent, 1u);
   });
+}
+
+/// Sends a datagram larger than the receive slot, then a small one, from
+/// one roster peer to another: the oversized one must be counted as
+/// truncated and dropped, never handed up as its prefix.
+void expect_oversized_receive_dropped(bool batching) {
+  event_loop::options opts;
+  opts.batching = batching;
+  event_loop loop(opts);
+  auto cluster = make_cluster(loop, 2);
+  std::atomic<int> received{0};
+  std::atomic<std::size_t> last_size{0};
+  loop.sync([&] {
+    cluster[1]->set_receive_handler([&](const net::datagram& d) {
+      last_size.store(d.payload.size());
+      received.fetch_add(1);
+    });
+  });
+  const std::vector<std::byte> oversized(20000, std::byte{7});
+  const std::vector<std::byte> small(16, std::byte{8});
+  loop.sync([&] { cluster[0]->send(node_id{1}, oversized); });
+  ASSERT_TRUE(wait_until(
+      [&] {
+        std::uint64_t truncated = 0;
+        loop.sync([&] { truncated = cluster[1]->stats().rx_truncated; });
+        return truncated >= 1;
+      },
+      5000ms));
+  loop.sync([&] { cluster[0]->send(node_id{1}, small); });
+  ASSERT_TRUE(wait_until([&] { return received.load() >= 1; }, 5000ms));
+  EXPECT_EQ(received.load(), 1) << "truncated datagram reached the handler";
+  EXPECT_EQ(last_size.load(), small.size());
+  loop.sync([&] {
+    EXPECT_EQ(cluster[1]->stats().rx_truncated, 1u);
+    EXPECT_EQ(cluster[1]->stats().datagrams_received, 2u);
+  });
+}
+
+TEST(LoopTransport, OversizedReceiveDroppedWhenBatched) {
+  expect_oversized_receive_dropped(true);
+}
+
+TEST(LoopTransport, OversizedReceiveDroppedPerDatagram) {
+  expect_oversized_receive_dropped(false);
+}
+
+TEST(LoopTransport, BindConflictThrows) {
+  event_loop loop;
+  auto cluster = make_cluster(loop, 1);
+  udp_roster taken;
+  taken[node_id{0}] = udp_endpoint{"127.0.0.1", cluster[0]->bound_port()};
+  EXPECT_THROW(loop_udp_transport(loop, node_id{0}, taken), std::system_error);
 }
 
 TEST(LoopTransport, UnknownPeerCountedAndTraced) {
