@@ -5,7 +5,8 @@
 // per cell, and prints the measured series next to the values published in
 // the paper. Absolute agreement is not expected (the substrate is a
 // simulator, not the authors' 12-workstation LAN); the *shape* — who wins,
-// by what factor, where the crossovers fall — is what EXPERIMENTS.md tracks.
+// by what factor, where the crossovers fall — is what each bench states in
+// the "Expected shape" line it prints after its table.
 //
 // Runtime control:
 //   OMEGA_BENCH_HOURS   simulated measurement window per cell (default 2.0;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-command pipeline: tier-1 verify (configure + build + ctest), the repo
-# benchmark's build and selftest, the same test suite under ASan+UBSan,
-# plus a bench smoke run whose JSON artifacts are validated. Mirrors the
-# "Tier-1 verify" line in ROADMAP.md.
+# benchmark's build, selftest and simulated-output fingerprint gate, the
+# same test suite under ASan+UBSan, plus a bench smoke run whose JSON
+# artifacts are validated. Mirrors the "Tier-1 verify" line in ROADMAP.md.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -21,6 +21,24 @@ cmake -S e2ebench -B .bench_build/cmake -DCMAKE_BUILD_TYPE=Release \
   "${bench_generator[@]}"
 cmake --build .bench_build/cmake --target e2ebench e2ebench_selftest -j
 ./.bench_build/cmake/e2ebench_selftest
+
+# Protocol-output gate on the benchmark's simulated workload: its notes
+# carry a fingerprint of the run's exact outputs (each failover's victim,
+# successor and timing, plus event, datagram and byte counts), so a src/
+# change that keeps protocol behaviour keeps the value. Same contract as
+# tests/harness/test_golden_trace.cpp.
+sim_fingerprint=58da7aea4ca9c6c9
+sim_notes="$(python3 e2ebench/run.py --workload sim_hier_failover --seed 7 \
+  --seconds 30 --trace 0)"
+if ! grep -q "^fingerprint ${sim_fingerprint} " <<< "$sim_notes"; then
+  got="$(grep -o '^fingerprint [0-9a-f]*' <<< "$sim_notes" || true)"
+  echo "ci.sh: sim_hier_failover seed 7 printed '${got:-no fingerprint}'," \
+    "expected 'fingerprint ${sim_fingerprint}': the simulated protocol" \
+    "output drifted. Re-pin sim_fingerprint only for an intended protocol" \
+    "change, and say why in the commit." >&2
+  exit 1
+fi
+echo "ci.sh: sim_hier_failover seed 7 fingerprint ${sim_fingerprint} holds"
 
 # Sanitizer pass: the full unit/integration suite under AddressSanitizer +
 # UndefinedBehaviorSanitizer (fatal on first finding).

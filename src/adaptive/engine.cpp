@@ -21,7 +21,6 @@ engine::engine(clock_source& clock, timer_service& timers, fd::fd_manager& fd,
       fd_(fd),
       opts_(opts),
       tracker_(opts.tracker),
-      scorer_(opts.scorer),
       tick_timer_(timers) {}
 
 engine::~engine() { stop(); }
@@ -55,31 +54,6 @@ void engine::remove_group(group_id group) {
 void engine::on_link_sample(node_id peer, const fd::link_estimate& est,
                             time_point now) {
   tracker_.observe(peer, est, now);
-  scorer_.set_link_loss(peer, est.loss_probability);
-}
-
-void engine::on_payload_observed(node_id from, incarnation inc,
-                                 const proto::group_payload& payload,
-                                 time_point now) {
-  scorer_.on_member_seen(payload.pid, from, inc, now);
-  if (payload.candidate) {
-    scorer_.on_accusation_observed(payload.pid, inc, payload.accusation_time,
-                                   now);
-  }
-}
-
-void engine::observe_local_member(process_id pid, node_id self,
-                                  incarnation inc, time_point now) {
-  scorer_.on_member_seen(pid, self, inc, now);
-}
-
-void engine::observe_local_accusation(process_id pid, incarnation inc,
-                                      time_point acc_time, time_point now) {
-  scorer_.on_accusation_observed(pid, inc, acc_time, now);
-}
-
-void engine::on_member_removed(process_id pid, incarnation inc) {
-  scorer_.on_member_removed(pid, inc);
 }
 
 void engine::on_group_member_dropped(group_id group, node_id node) {
@@ -89,7 +63,6 @@ void engine::on_group_member_dropped(group_id group, node_id node) {
 
 void engine::on_node_dropped(node_id node) {
   tracker_.forget(node);
-  scorer_.forget_node(node);
   // Per-remote refinements for a gone node are stale policy: clear them so
   // a reappearing node starts from the group default, not the old link's
   // operating point.
@@ -97,10 +70,6 @@ void engine::on_node_dropped(node_id node) {
     rt->forget_peer(node);
     fd_.clear_params_override(group, node);
   }
-}
-
-double engine::stability(process_id pid) const {
-  return scorer_.score(pid, clock_.now());
 }
 
 const retuner* engine::retuner_for(group_id group) const {

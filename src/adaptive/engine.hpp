@@ -19,8 +19,8 @@
 // rate_controller) toward the resolved per-remote etas. Each group's
 // retuner carries the group's QoS class (`qos_class`): interactive groups
 // minimize detection latency, background groups minimize heartbeat rate.
-// The stability_scorer rides the same observation stream (ALIVE payloads)
-// and serves candidate scores to electors that opted in.
+// The engine tunes failure detection only; candidate ranking is the
+// electors' accusation-time order (DESIGN.md §5).
 //
 // Tuning modes of a service instance:
 //   continuous — the seed behaviour: fd_manager re-runs the paper
@@ -28,7 +28,7 @@
 //   frozen     — the cold-start operating point is pinned forever (the
 //                static baseline the adaptive bench compares against).
 //   adaptive   — this engine: damped re-tuning with the min-detection
-//                objective plus stability scoring.
+//                objective.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +37,10 @@
 
 #include "adaptive/link_tracker.hpp"
 #include "adaptive/retuner.hpp"
-#include "adaptive/stability_scorer.hpp"
 #include "common/executor.hpp"
 #include "common/ids.hpp"
 #include "fd/fd_manager.hpp"
 #include "obs/sink.hpp"
-#include "proto/wire.hpp"
 
 namespace omega::adaptive {
 
@@ -65,7 +63,6 @@ struct engine_options {
   bool per_link = true;
   link_tracker::options tracker{};
   retuner_options retuner{};
-  stability_scorer::options scorer{};
 };
 
 class engine {
@@ -94,35 +91,13 @@ class engine {
   void on_link_sample(node_id peer, const fd::link_estimate& est,
                       time_point now);
 
-  /// One received ALIVE payload: membership + accusation evidence for the
-  /// stability scorer.
-  void on_payload_observed(node_id from, incarnation inc,
-                           const proto::group_payload& payload,
-                           time_point now);
-
-  /// Local-process evidence the ALIVE stream cannot provide: heartbeats are
-  /// not self-delivered, so without these the scorer never observes the
-  /// local pid, holds stability(self) at 0.0, and omega_lc's stage-1
-  /// pre-filter can drop the node's own candidacy once peers' scores exceed
-  /// the tolerance. The hosting service feeds the join and every
-  /// self-accusation advance, mirroring what peers observe in our payloads.
-  void observe_local_member(process_id pid, node_id self, incarnation inc,
-                            time_point now);
-  void observe_local_accusation(process_id pid, incarnation inc,
-                                time_point acc_time, time_point now);
-
-  void on_member_removed(process_id pid, incarnation inc);
   /// The FD dropped (group, node) — `fd_manager::drop` cleared the plan's
   /// refinement, so the retuner's per-peer damping state must go too or
   /// the two views desync and the refinement is never re-emitted.
   void on_group_member_dropped(group_id group, node_id node);
   void on_node_dropped(node_id node);
 
-  /// Stability score of a candidate at the current clock (for electors).
-  [[nodiscard]] double stability(process_id pid) const;
-
   [[nodiscard]] link_tracker& tracker() { return tracker_; }
-  [[nodiscard]] stability_scorer& scorer() { return scorer_; }
   [[nodiscard]] const retuner* retuner_for(group_id group) const;
   [[nodiscard]] std::uint64_t total_retunes() const;
   [[nodiscard]] const engine_options& options() const { return opts_; }
@@ -134,7 +109,6 @@ class engine {
   fd::fd_manager& fd_;
   engine_options opts_;
   link_tracker tracker_;
-  stability_scorer scorer_;
   std::unordered_map<group_id, std::unique_ptr<retuner>> retuners_;
   scoped_timer tick_timer_;
   obs::sink* sink_ = nullptr;

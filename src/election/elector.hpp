@@ -68,11 +68,6 @@ struct elector_context {
   std::function<std::uint64_t()> members_version;
   /// Sends an ACCUSE message to the node hosting the accused process.
   std::function<void(const proto::accuse_msg&, node_id)> send_accuse;
-  /// Optional stability score in [0, 1] for a candidate (higher = more
-  /// stable), served by the adaptation engine when the join enabled
-  /// stability ranking. Null when the feature is off — electors must
-  /// behave exactly as the paper specifies in that case.
-  std::function<double(process_id)> stability_score;
   /// Observability sink of the hosting instance; electors trace algorithm
   /// state transitions (omega_l competition entry/withdrawal) through it.
   /// Null (default) disables tracing.

@@ -142,11 +142,8 @@ bool omega_lc::fresh(const membership::member_info& m) const {
 }
 
 std::optional<omega_lc::rank> omega_lc::local_stage(
-    const std::vector<membership::member_info>& members) {
-  // Collect the eligible candidates (fresh, with accusation data) first:
-  // the optional stability filter needs the whole field before ranking.
-  std::vector<rank>& eligible = eligible_scratch_;
-  eligible.clear();
+    const std::vector<membership::member_info>& members) const {
+  std::optional<rank> best;
   for (const auto& m : members) {
     if (!m.candidate || !fresh(m)) continue;
     time_point acc;
@@ -157,35 +154,7 @@ std::optional<omega_lc::rank> omega_lc::local_stage(
       if (it == peers_.end() || it->second.inc != m.inc) continue;  // no data yet
       acc = it->second.acc_time;
     }
-    eligible.push_back(rank{acc, m.pid});
-  }
-  if (eligible.empty()) return std::nullopt;
-
-  if (ctx_.stability_score && eligible.size() > 1) {
-    // SEER-style pre-filter: keep only candidates within the tolerance of
-    // the most stable one, then fall through to the paper's order. The
-    // filter never empties the field (the best-scoring candidate always
-    // survives), so a leader is still always chosen. Scores are taken once
-    // per candidate into a vector: the callback may walk the adaptation
-    // engine's records, so it must not run again per comparison.
-    std::vector<double>& scores = scores_scratch_;
-    scores.clear();
-    scores.reserve(eligible.size());
-    double best_score = 0.0;
-    for (const rank& r : eligible) {
-      scores.push_back(ctx_.stability_score(r.pid));
-      best_score = std::max(best_score, scores.back());
-    }
-    const double cutoff = best_score - opts_.stability_tolerance;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < eligible.size(); ++i) {
-      if (scores[i] >= cutoff) eligible[keep++] = eligible[i];
-    }
-    eligible.resize(keep);
-  }
-
-  std::optional<rank> best;
-  for (const rank& r : eligible) {
+    const rank r{acc, m.pid};
     if (!best || r < *best) best = r;
   }
   return best;
@@ -194,14 +163,12 @@ std::optional<omega_lc::rank> omega_lc::local_stage(
 std::optional<process_id> omega_lc::evaluate() {
   // Steady-state short-circuit: no input changed since the last full
   // evaluation, so the result (and the stage-1 cache fill_payload reads)
-  // is still exact. Disqualifiers: pending accusations (their recheck is
-  // time-driven, not event-driven) and an attached stability scorer
-  // (scores drift without any protocol event).
+  // is still exact. Disqualifier: pending accusations (their recheck is
+  // time-driven, not event-driven).
   const std::uint64_t roster_version =
       ctx_.members_version ? ctx_.members_version() : 0;
   if (!memo_dirty_ && stage1_cached_ && pending_accuse_.empty() &&
-      !ctx_.stability_score && ctx_.members_version &&
-      roster_version == memo_members_version_) {
+      ctx_.members_version && roster_version == memo_members_version_) {
     return memo_result_;
   }
 

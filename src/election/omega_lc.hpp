@@ -3,9 +3,11 @@
 //
 // Every process tracks its *accusation time* — the last time it was
 // suspected of having crashed (initially its join time, which is what makes
-// a freshly recovered process rank behind any established leader). All
-// alive processes broadcast ALIVEs carrying their accusation time plus
-// their current *local leader* choice. Leader selection is two-staged:
+// a freshly recovered process rank behind any established leader). The
+// accusation time is therefore the stability order: the candidate accused
+// or (re)started least recently leads (DESIGN.md §5). All alive processes
+// broadcast ALIVEs carrying their accusation time plus their current
+// *local leader* choice. Leader selection is two-staged:
 //
 //   stage 1 (local):  earliest (accusation time, pid) among the candidates
 //                     this process hears directly and trusts;
@@ -50,13 +52,6 @@ class omega_lc final : public elector {
     /// election to "earliest accusation time among directly trusted
     /// candidates" and forfeits the tolerance to crashed links (Figure 7).
     bool forwarding = true;
-    /// Stability-aware candidate filtering (active only when the hosting
-    /// service supplies ctx.stability_score): stage 1 drops candidates
-    /// scoring more than this far below the best-scoring candidate before
-    /// applying the usual (accusation time, pid) order. Once the system is
-    /// stable all scores converge high and the filter passes everyone, so
-    /// the classic eventual-leadership argument is unchanged.
-    double stability_tolerance = 0.25;
   };
 
   explicit omega_lc(elector_context ctx) : omega_lc(std::move(ctx), {}) {}
@@ -98,10 +93,8 @@ class omega_lc final : public elector {
   };
 
   /// Stage 1 over current membership; also returns the winner's acc time.
-  /// Invokes the stability callback at most once per candidate. Non-const
-  /// only because it reuses the scratch vectors below.
   [[nodiscard]] std::optional<rank> local_stage(
-      const std::vector<membership::member_info>& members);
+      const std::vector<membership::member_info>& members) const;
 
   [[nodiscard]] bool fresh(const membership::member_info& m) const;
 
@@ -118,8 +111,8 @@ class omega_lc final : public elector {
   time_point self_acc_{};
   /// Stage-1 result of the last evaluate(). fill_payload reuses it — every
   /// event that can change stage 1 re-runs evaluate() before the next send,
-  /// so the (potentially expensive) stability scores are taken once per
-  /// event batch, not once more per outgoing payload.
+  /// so the O(roster) scan runs once per event batch, not once more per
+  /// outgoing payload.
   std::optional<rank> stage1_cache_;
   bool stage1_cached_ = false;
   std::unordered_map<process_id, peer_state> peers_;
@@ -139,21 +132,18 @@ class omega_lc final : public elector {
   std::uint64_t candidate_index_version_ = 0;
 
   /// Per-evaluation scratch, cleared on entry. evaluate() runs once per
-  /// inbound payload, so rebuilding these containers from a cold heap every
-  /// call dominated the 500-node benches; clearing keeps their capacity.
+  /// inbound payload, so rebuilding the map from a cold heap every call
+  /// dominated the 500-node benches; clearing keeps its capacity.
   std::unordered_map<process_id, time_point> mentioned_scratch_;
-  std::vector<rank> eligible_scratch_;
-  std::vector<double> scores_scratch_;
 
   /// Evaluation memo. evaluate() is a pure function of (peers_, self_acc_,
   /// trust verdicts, candidacy, roster) — every one of those inputs changes
   /// only through an observable event (payload that actually changed peer
   /// state, FD transition, ACCUSE, candidacy flip, roster version bump), so
   /// between such events the cached result is returned as-is. The memo is
-  /// bypassed while accusations are pending (their recheck is time-driven)
-  /// and when a stability scorer is attached (scores drift silently). In
-  /// steady state this turns the per-ALIVE O(roster) evaluation into O(1) —
-  /// the difference between 2x and >3x on the 500-node bench.
+  /// bypassed while accusations are pending (their recheck is time-driven).
+  /// In steady state this turns the per-ALIVE O(roster) evaluation into
+  /// O(1) — the difference between 2x and >3x on the 500-node bench.
   bool memo_dirty_ = true;
   std::optional<process_id> memo_result_;
   std::uint64_t memo_members_version_ = 0;

@@ -226,7 +226,6 @@ void experiment::start_service(workstation& ws) {
     copts.region.qos = sc_.qos;
     copts.region.fd_class = sc_.fd_class;
     copts.region.alg = sc_.alg;
-    copts.region.stability_ranking = sc_.stability_ranking;
     copts.upper.qos = sc_.hierarchy.global_qos;
     copts.upper.fd_class = sc_.hierarchy.global_class;
     copts.scoped_hello = sc_.hierarchy.scoped_hello;
@@ -249,7 +248,6 @@ void experiment::start_service(workstation& ws) {
   jo.qos = sc_.qos;
   jo.fd_class = sc_.fd_class;
   jo.notify = service::notification_mode::interrupt;
-  jo.stability_ranking = sc_.stability_ranking;
 
   ws.svc->join_group(pid, group_, jo,
                      [this, pid](group_id, std::optional<process_id> leader) {

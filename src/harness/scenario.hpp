@@ -123,8 +123,6 @@ struct scenario {
   /// QoS class every process joins the group with (adaptive mode only):
   /// interactive minimizes detection latency, background heartbeat rate.
   adaptive::qos_class fd_class = adaptive::qos_class::interactive;
-  /// Let electors consult the stability scorer (adaptive mode only).
-  bool stability_ranking = false;
 
   /// Number of leadership candidates; the first `candidates` pids are
   /// candidates, the rest join as passive (non-candidate) members.

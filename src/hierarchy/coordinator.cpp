@@ -72,7 +72,6 @@ service::join_options hierarchy_coordinator::join_opts(std::size_t tier,
   jo.qos = t.qos;
   jo.fd_class = t.fd_class;
   jo.alg = t.alg;
-  jo.stability_ranking = t.stability_ranking;
   return jo;
 }
 

@@ -54,7 +54,6 @@ struct tier_options {
   adaptive::qos_class fd_class = adaptive::qos_class::interactive;
   /// Election algorithm of the tier's groups (service default when unset).
   std::optional<election::algorithm> alg;
-  bool stability_ranking = false;
 };
 
 struct coordinator_options {

@@ -7,10 +7,13 @@
 // CPU cannot be measured in a discrete-event simulation, so we use a work
 // proxy: each datagram sent or received costs a fixed per-datagram budget
 // plus a per-byte budget (syscall + protocol handling dominate at these
-// message sizes). The constants are calibrated once (see EXPERIMENTS.md)
-// and held fixed across every algorithm, network setting and group size,
+// message sizes). The constants are an uncalibrated proxy: bench/fig14_live
+// measures about 3.7 us per datagram sent or received on real sockets at
+// 256 services (BENCH_live.json), well under the 15 us charged here. They
+// are held fixed across every algorithm, network setting and group size,
 // so the *shape* Figure 6 reports — quadratic growth for S2 vs. linear for
-// S3, higher cost on worse links — is preserved by construction.
+// S3, higher cost on worse links — is preserved by construction; the
+// absolute percentages are not a measurement.
 #pragma once
 
 #include "common/time.hpp"

@@ -40,7 +40,7 @@ struct service_config {
   /// Group-maintenance tuning (HELLO period, eviction timeout).
   membership::group_maintenance::options gm{};
   /// Online QoS re-configuration: tuning mode plus adaptation-engine knobs
-  /// (tracker windows, retune hysteresis, stability scoring).
+  /// (tracker windows, retune hysteresis).
   adaptive::engine_options adaptive{};
   /// Observability sink (metrics + structured trace), threaded through
   /// every module of the instance. Null (the default) disables the plane;
@@ -82,11 +82,6 @@ struct join_options {
   /// detection latency, `background` toward minimum heartbeat rate (both
   /// subject to `qos`). Ignored in continuous/frozen modes.
   adaptive::qos_class fd_class = adaptive::qos_class::interactive;
-  /// Let the elector consult the adaptation engine's per-candidate
-  /// stability score (observed uptime, accusation history, link quality)
-  /// when ranking leaders. Only effective when the service runs in
-  /// adaptive tuning mode; off by default — the paper's ranking applies.
-  bool stability_ranking = false;
 };
 
 /// Counters exposed for tests, benchmarks and the overhead figures.

@@ -74,7 +74,6 @@ leader_election_service::leader_election_service(clock_source& clock,
             it->second.elector->on_member_removed(m);
             if (m.node != config_.self) fd_.drop(g, m.node);
             if (adaptive_) {
-              adaptive_->on_member_removed(m.pid, m.inc);
               if (m.node != config_.self) {
                 adaptive_->on_group_member_dropped(g, m.node);
               }
@@ -166,11 +165,6 @@ election::elector_context leader_election_service::make_context(group_id group,
   return ctx;
 }
 
-bool leader_election_service::wants_stability_ranking(
-    const join_options& options) const {
-  return options.stability_ranking && adaptive_ != nullptr;
-}
-
 bool leader_election_service::join_group(process_id pid, group_id group,
                                          const join_options& options,
                                          leader_callback on_change) {
@@ -194,11 +188,6 @@ bool leader_election_service::join_group(process_id pid, group_id group,
   }
 
   election::elector_context ctx = make_context(group, pid, options.candidate);
-  if (wants_stability_ranking(options)) {
-    ctx.stability_score = [this](process_id candidate) {
-      return adaptive_ ? adaptive_->stability(candidate) : 0.0;
-    };
-  }
 
   group_state gs;
   gs.group = group;
@@ -208,18 +197,6 @@ bool leader_election_service::join_group(process_id pid, group_id group,
       election::make_elector(options.alg.value_or(config_.alg), std::move(ctx));
   gs.last_self_acc = gs.elector->self_accusation_time();
   gs.on_change = std::move(on_change);
-  if (adaptive_) {
-    // Self-observation: ALIVEs are not self-delivered, so the stability
-    // scorer learns about the local process here (join = first seen) and on
-    // accusation advances (see reevaluate), exactly as peers do from our
-    // payloads. The first accusation time fed is the baseline, not an event.
-    adaptive_->observe_local_member(pid, config_.self, config_.inc,
-                                    clock_.now());
-    if (options.candidate) {
-      adaptive_->observe_local_accusation(pid, config_.inc, gs.last_self_acc,
-                                          clock_.now());
-    }
-  }
   auto [it, inserted] = groups_.emplace(group, std::move(gs));
 
   gm_.local_join(group, pid, options.candidate);  // broadcasts HELLO
@@ -264,12 +241,8 @@ bool leader_election_service::set_candidacy(process_id pid, group_id group,
   gs.elector->set_candidate(candidate);
   // The promotion's accusation-time reset is an entry baseline, not an
   // accusation event: sync the cache so reevaluate() does not treat it as
-  // "our rank just worsened", and feed the scorer the new baseline.
+  // "our rank just worsened".
   gs.last_self_acc = gs.elector->self_accusation_time();
-  if (adaptive_ && candidate) {
-    adaptive_->observe_local_accusation(pid, config_.inc, gs.last_self_acc,
-                                        clock_.now());
-  }
   gm_.update_local_candidacy(group, candidate);
   if (config_.sink) {
     obs::trace_event ev;
@@ -357,7 +330,6 @@ void leader_election_service::handle(const proto::alive_msg& msg) {
   for (const auto& payload : msg.groups) {
     auto it = groups_.find(payload.group);
     if (it == groups_.end()) continue;
-    if (adaptive_) adaptive_->on_payload_observed(msg.from, msg.inc, payload, now);
     it->second.elector->on_alive_payload(msg.from, msg.inc, payload);
   }
   for (const auto& payload : msg.groups) {
@@ -417,15 +389,6 @@ void leader_election_service::reevaluate(group_id group) {
 
   const std::optional<process_id> leader = gs.elector->evaluate();
   const bool sending = gs.elector->should_send_alive();
-
-  if (adaptive_ && gs.options.candidate &&
-      gs.elector->self_accusation_time() != gs.last_self_acc) {
-    // Mirror the self-accusation advance into the stability scorer: peers
-    // count it from our next payload, the local scorer counts it here.
-    adaptive_->observe_local_accusation(gs.local_pid, config_.inc,
-                                        gs.elector->self_accusation_time(),
-                                        clock_.now());
-  }
 
   if (sending != gs.was_sending) {
     gs.was_sending = sending;

@@ -162,7 +162,6 @@ class leader_election_service {
   void reevaluate_all();
   election::elector_context make_context(group_id group, process_id pid,
                                          bool candidate);
-  [[nodiscard]] bool wants_stability_ranking(const join_options& options) const;
 
   // Heartbeat engine.
   void schedule_alive();

@@ -331,52 +331,41 @@ TEST(OmegaLc, FactoryProducesOmegaLc) {
   EXPECT_EQ(e->name(), "omega_lc");
 }
 
-TEST(OmegaLc, StabilityScoreTakenOncePerCandidatePerEvaluation) {
-  // The scorer callback may walk the adaptation engine's records, so
-  // stage 1 must take it once per candidate into a vector — not once per
-  // max/filter pass — and fill_payload must reuse the evaluate() result
-  // instead of re-running stage 1 (up to 4x per candidate before the fix).
+TEST(OmegaLc, StageOneScansRosterOncePerEvaluation) {
+  // fill_payload must reuse the stage-1 result of the last evaluate()
+  // instead of re-scanning the roster per outgoing payload, and with a
+  // roster version an unchanged evaluation is a memo hit with no scan.
   elector_world w;
   w.clock.set(time_origin + sec(100));
   auto ctx = w.context(p1, true);
-  std::size_t calls = 0;
-  ctx.stability_score = [&calls](process_id) {
-    ++calls;
-    return 1.0;
+  std::size_t scans = 0;
+  ctx.members = [&]() -> const std::vector<membership::member_info>& {
+    ++scans;
+    return w.members;
   };
+  std::uint64_t version = 1;
+  ctx.members_version = [&version] { return version; };
   omega_lc e(std::move(ctx));
   for (auto pid : {p1, p2, p3}) w.add_member(pid);
   e.on_alive_payload(node_id{2}, 1, payload_from(p2, time_origin + sec(20)));
   e.on_alive_payload(node_id{3}, 1, payload_from(p3, time_origin + sec(25)));
 
-  calls = 0;
   ASSERT_EQ(e.evaluate(), p2);
-  EXPECT_EQ(calls, 3u);  // three eligible candidates, one score each
+  EXPECT_EQ(scans, 1u);
 
   proto::group_payload payload;
   e.fill_payload(payload);
   EXPECT_EQ(payload.local_leader, p2);
-  EXPECT_EQ(calls, 3u);  // fill_payload reused the cached stage-1 result
+  EXPECT_EQ(scans, 1u) << "fill_payload re-ran stage 1";
 
-  e.evaluate();
-  EXPECT_EQ(calls, 6u);  // each evaluation scores once per candidate
-}
+  EXPECT_EQ(e.evaluate(), p2);
+  EXPECT_EQ(scans, 1u) << "unchanged inputs must hit the evaluation memo";
 
-TEST(OmegaLc, StabilityFilterStillDropsUnstableCandidate) {
-  // Regression guard for the vectorized filter: an unstable candidate far
-  // below the best score is dropped even when it has the earliest
-  // accusation time.
-  elector_world w;
-  w.clock.set(time_origin + sec(100));
-  auto ctx = w.context(p1, true);
-  ctx.stability_score = [](process_id pid) {
-    return pid == p2 ? 0.1 : 0.9;  // p2 flaps; everyone else is solid
-  };
-  omega_lc e(std::move(ctx));
-  for (auto pid : {p1, p2, p3}) w.add_member(pid);
-  e.on_alive_payload(node_id{2}, 1, payload_from(p2, time_origin + sec(20)));
-  e.on_alive_payload(node_id{3}, 1, payload_from(p3, time_origin + sec(25)));
-  EXPECT_EQ(e.evaluate(), p3);  // p2 filtered out, p3 beats p1 on acc time
+  ++version;  // roster content changed: the next evaluation scans again
+  EXPECT_EQ(e.evaluate(), p2);
+  EXPECT_EQ(scans, 2u);
+  e.fill_payload(payload);
+  EXPECT_EQ(scans, 2u);
 }
 
 }  // namespace

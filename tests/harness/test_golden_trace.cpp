@@ -53,18 +53,10 @@ scenario golden_scenario() {
   return sc;
 }
 
-/// Runs the scenario deterministically: settle, crash the agreed global
-/// leader, wait for a successor, recover, settle again. Returns the full
-/// merged multi-node trace serialized as JSONL. With `causal` the sinks
-/// chain causes and the wire carries stamps — same event stream, each
-/// line gaining its "cause" field.
-std::string run_golden_trace(bool causal = false) {
-  scenario sc = golden_scenario();
-  sc.causal = causal;
-  experiment exp(sc);
+/// Crashes the agreed leader (waiting up to 30 s for one), steps until the
+/// survivors agree on a successor, then recovers the victim.
+void fail_over_leader(experiment& exp) {
   auto& sim = exp.simulator();
-  sim.run_until(time_origin + sec(40));
-
   std::optional<process_id> leader = exp.group().agreed_leader();
   const time_point settle_deadline = sim.now() + sec(30);
   while (!leader.has_value() && sim.now() < settle_deadline) {
@@ -82,8 +74,22 @@ std::string run_golden_trace(bool causal = false) {
       if (agreed.has_value() && *agreed != *leader) break;
     }
     exp.recover_node(victim);
-    sim.run_until(sim.now() + sec(10));
   }
+}
+
+/// Runs the scenario deterministically: settle, crash the agreed global
+/// leader, wait for a successor, recover, settle again. Returns the full
+/// merged multi-node trace serialized as JSONL. With `causal` the sinks
+/// chain causes and the wire carries stamps — same event stream, each
+/// line gaining its "cause" field.
+std::string run_golden_trace(bool causal = false) {
+  scenario sc = golden_scenario();
+  sc.causal = causal;
+  experiment exp(sc);
+  auto& sim = exp.simulator();
+  sim.run_until(time_origin + sec(40));
+  fail_over_leader(exp);
+  sim.run_until(sim.now() + sec(10));
   return obs::render_jsonl(exp.merged_trace());
 }
 
@@ -131,6 +137,58 @@ TEST(GoldenTrace, StampedRunHasItsOwnPinnedFingerprint) {
   EXPECT_EQ(jsonl.size(), kGoldenStampedBytes);
   EXPECT_GT(jsonl.size(), kGoldenTraceBytes)
       << "stamping on must add cause fields";
+}
+
+// Third fingerprint: the adaptive tuning mode, which the runs above never
+// enter. The `adaptive_sc` shape of test_adaptive_integration.cpp — a flat
+// 6-node omega_lc group, LAN until 90 s, then a lossy 10 ms / 2% network —
+// with one leader failover under the re-tuned detector. The trace carries
+// the engine's retune events, so this pins the adaptation loop's output
+// along with the election it drives.
+scenario adaptive_golden_scenario() {
+  scenario sc;
+  sc.name = "golden-adaptive-6";
+  sc.nodes = 6;
+  sc.alg = election::algorithm::omega_lc;
+  sc.qos.detection_time = sec(1);
+  sc.qos.mistake_recurrence =
+      std::chrono::duration_cast<omega::duration>(std::chrono::hours(2));
+  sc.qos.query_accuracy = 0.9999;
+  sc.links = net::link_profile::lan();
+  sc.link_phases.push_back({sec(90), net::link_profile::lossy(msec(10), 0.02)});
+  sc.churn = churn_profile::none();
+  sc.adaptive.mode = adaptive::tuning_mode::adaptive;
+  sc.trace = true;
+  sc.warmup = sec(30);
+  sc.seed = 7;
+  return sc;
+}
+
+std::string run_adaptive_golden_trace() {
+  experiment exp(adaptive_golden_scenario());
+  auto& sim = exp.simulator();
+  sim.run_until(time_origin + sec(120));
+  fail_over_leader(exp);
+  sim.run_until(time_origin + sec(180));
+  return obs::render_jsonl(exp.merged_trace());
+}
+
+constexpr std::uint64_t kGoldenAdaptiveHash = 0x9fc8810a2c355d58ull;
+constexpr std::size_t kGoldenAdaptiveBytes = 52569;
+
+TEST(GoldenTrace, AdaptiveRunMatchesPinnedFingerprint) {
+  const std::string jsonl = run_adaptive_golden_trace();
+  EXPECT_NE(jsonl.find("\"retune\""), std::string::npos)
+      << "the adaptive run must trace the engine's retune events";
+  EXPECT_EQ(fnv1a(jsonl), kGoldenAdaptiveHash)
+      << "adaptive-trace fingerprint drifted\n"
+      << "  bytes: " << jsonl.size() << " (golden " << kGoldenAdaptiveBytes
+      << ")\n  hash: 0x" << std::hex << fnv1a(jsonl) << " (golden 0x"
+      << kGoldenAdaptiveHash << ")\nFirst lines:\n"
+      << jsonl.substr(0, 400);
+  EXPECT_EQ(jsonl.size(), kGoldenAdaptiveBytes);
+  EXPECT_TRUE(jsonl == run_adaptive_golden_trace())
+      << "two adaptive runs of the same seed differ";
 }
 
 }  // namespace
