@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-command pipeline: tier-1 verify (configure + build + ctest), the repo
-# benchmark's build, selftest and simulated-output fingerprint gate, the
-# same test suite under ASan+UBSan, plus a bench smoke run whose JSON
-# artifacts are validated. Mirrors the "Tier-1 verify" line in ROADMAP.md.
+# benchmark's build, selftest, simulated-output fingerprint gate and one
+# live_failover run, the same test suite under ASan+UBSan, plus a bench
+# smoke run whose JSON artifacts are validated. Mirrors the "Tier-1 verify" line in ROADMAP.md.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -39,6 +39,20 @@ if ! grep -q "^fingerprint ${sim_fingerprint} " <<< "$sim_notes"; then
   exit 1
 fi
 echo "ci.sh: sim_hier_failover seed 7 fingerprint ${sim_fingerprint} holds"
+
+# The live runtime under the churn it serves: 256 real-UDP services whose
+# group leaders are killed and restarted for 30 s, on the loop's timer path.
+# run.py exits non-zero unless the result is correct: every group agreed,
+# every restart succeeded and enough failovers happened.
+live_result="$(python3 e2ebench/run.py --workload live_failover --seed 7 \
+  --seconds 30 --trace 0)" || {
+  echo "ci.sh: live_failover seed 7 did not produce a correct result" >&2
+  exit 1
+}
+live_failed="$(tail -n 1 <<< "$live_result" \
+  | python3 -c 'import json, sys; print(json.load(sys.stdin)["failed"])')"
+echo "ci.sh: live_failover seed 7 correct; failed=${live_failed} (kills" \
+  "without a failover within 3x the detection bound)"
 
 # Sanitizer pass: the full unit/integration suite under AddressSanitizer +
 # UndefinedBehaviorSanitizer (fatal on first finding).

@@ -46,8 +46,8 @@ event_loop::event_loop(options opts)
   ev.events = EPOLLIN;
   ev.data.fd = wake_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-  rx_buf_.resize(opts_.batch * rx_slot_bytes);
-  rx_addrs_.resize(opts_.batch);
+  rx_buf_.resize(kBatch * rx_slot_bytes);
+  rx_addrs_.resize(kBatch);
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -66,8 +66,7 @@ timer_id event_loop::schedule_at(time_point when, unique_task fn) {
   timer_id id;
   {
     std::lock_guard lock(mu_);
-    id = next_id_++;
-    timers_.emplace(when, timer_entry{id, std::move(fn)});
+    id = timers_.push(when, std::move(fn));
   }
   // The loop recomputes its epoll timeout before every wait, so a timer
   // armed from the loop thread (re-arming heartbeats — the steady state)
@@ -84,12 +83,7 @@ timer_id event_loop::schedule_after(duration after, unique_task fn) {
 
 void event_loop::cancel(timer_id id) {
   std::lock_guard lock(mu_);
-  for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-    if (it->second.id == id) {
-      timers_.erase(it);
-      return;
-    }
-  }
+  timers_.cancel(id);
 }
 
 void event_loop::post(std::function<void()> fn) {
@@ -142,12 +136,6 @@ loop_stats event_loop::stats_snapshot() {
   return out;
 }
 
-std::size_t event_loop::socket_count() {
-  std::size_t n = 0;
-  sync([&] { n = sockets_.size(); });
-  return n;
-}
-
 void event_loop::add_socket(int fd, loop_udp_transport* t) {
   sync([&] {
     sockets_.emplace(fd, t);
@@ -171,30 +159,28 @@ void event_loop::wake() {
 }
 
 void event_loop::run_posted() {
-  std::deque<std::function<void()>> run;
   {
     std::lock_guard lock(mu_);
-    run.swap(posted_);
+    running_.swap(posted_);
   }
-  for (auto& fn : run) {
+  for (auto& fn : running_) {
     fn();
     ++stats_.tasks_run;
   }
+  running_.clear();
 }
 
 void event_loop::run_due_timers() {
-  // Fire everything due within `timer_slack` of this wakeup: co-scheduled
+  // Fire everything due within `kTimerSlack` of this wakeup: co-scheduled
   // services' heartbeat ticks land in one batch (and one send-ring flush)
-  // instead of one wakeup each.
+  // instead of one wakeup each. One pop per lock: a callback may cancel the
+  // next due timer.
   for (;;) {
+    time_point when{};
     unique_task fn;
     {
       std::lock_guard lock(mu_);
-      if (timers_.empty()) return;
-      auto it = timers_.begin();
-      if (it->first > now() + opts_.timer_slack) return;
-      fn = std::move(it->second.fn);
-      timers_.erase(it);
+      if (!timers_.pop(now() + kTimerSlack, when, fn)) return;
     }
     fn();
     ++stats_.timers_fired;
@@ -210,8 +196,8 @@ void event_loop::loop() {
       if (stopping_) break;
       if (!posted_.empty()) {
         timeout_ms = 0;
-      } else if (!timers_.empty()) {
-        const duration until = timers_.begin()->first - now();
+      } else if (const auto next = timers_.next()) {
+        const duration until = *next - now();
         if (until <= duration{0}) {
           timeout_ms = 0;
         } else {

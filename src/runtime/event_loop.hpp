@@ -4,9 +4,9 @@
 // An `event_loop` implements the `clock_source`/`timer_service` pair the
 // protocol stack is written against *and* owns the UDP sockets of every
 // `loop_udp_transport` registered with it, so N services cost one thread,
-// one epoll fd and one timer map. A one-loop `loop_pool` is the
-// small-deployment case; a few loops spread hundreds of services over a
-// few cores.
+// one epoll fd and one timer queue — `common/timer_heap`, the core the
+// simulator also runs on. A one-loop `loop_pool` is the small-deployment
+// case; a few loops spread hundreds of services over a few cores.
 //
 // Syscall batching (DESIGN.md §10): in batched mode (the default) outbound
 // datagrams are not written with one sendto(2) each. Every transport keeps
@@ -16,7 +16,7 @@
 // `net::shared_payload` by the service layer — crosses the syscall boundary
 // as one encode + one syscall, zero per-destination copies. Inbound,
 // readiness is level-triggered and each ready socket is drained with
-// recvmmsg(2). Timers due within `timer_slack` of a wakeup run together,
+// recvmmsg(2). Timers due within `kTimerSlack` of a wakeup run together,
 // which keeps the heartbeat ticks of co-scheduled services clustered and
 // their datagrams arriving in recvmmsg-sized bursts.
 //
@@ -31,9 +31,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -42,6 +40,7 @@
 
 #include "common/executor.hpp"
 #include "common/time.hpp"
+#include "common/timer_heap.hpp"
 #include "net/shared_payload.hpp"
 
 namespace omega::runtime {
@@ -96,12 +95,6 @@ class event_loop final : public clock_source, public timer_service {
     /// every receive a single recvfrom(2) — the measurable control in
     /// fig14_live.
     bool batching = true;
-    /// Max datagrams per sendmmsg/recvmmsg call (and per rx buffer array).
-    std::size_t batch = 64;
-    /// Timers due within this much of a wakeup fire on it. Clusters the
-    /// heartbeat ticks of services sharing the loop so their fan-outs
-    /// coalesce; sub-millisecond, far inside any FD safety margin.
-    duration timer_slack = usec(500);
   };
 
   explicit event_loop(options opts);
@@ -148,9 +141,6 @@ class event_loop final : public clock_source, public timer_service {
   /// it runs).
   [[nodiscard]] loop_stats stats_snapshot();
 
-  /// Transports currently registered (diagnostics).
-  [[nodiscard]] std::size_t socket_count();
-
  private:
   friend class loop_udp_transport;
 
@@ -164,10 +154,12 @@ class event_loop final : public clock_source, public timer_service {
   void run_due_timers();
   void wake();
 
-  struct timer_entry {
-    timer_id id;
-    unique_task fn;
-  };
+  /// Max datagrams per sendmmsg/recvmmsg call (and per rx buffer array).
+  static constexpr std::size_t kBatch = 64;
+  /// Timers due within this much of a wakeup fire on it. Clusters the
+  /// heartbeat ticks of services sharing the loop so their fan-outs
+  /// coalesce; sub-millisecond, far inside any FD safety margin.
+  static constexpr duration kTimerSlack = usec(500);
 
   options opts_;
   std::chrono::steady_clock::time_point epoch_;
@@ -177,15 +169,16 @@ class event_loop final : public clock_source, public timer_service {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::multimap<time_point, timer_entry> timers_;
-  std::deque<std::function<void()>> posted_;
-  timer_id next_id_ = 1;
+  timer_heap timers_;
+  std::vector<std::function<void()>> posted_;
   bool stopping_ = false;
 
-  // Loop-thread state (no locking): registered sockets, shared pool, and
-  // the recvmmsg scratch shared by every transport on the loop (drains are
-  // serial, so one batch x slot buffer array serves all sockets).
+  // Loop-thread state (no locking): the buffer `run_posted` swaps with
+  // `posted_`, registered sockets, shared pool, and the recvmmsg scratch
+  // shared by every transport on the loop (drains are serial, so one batch
+  // x slot buffer array serves all sockets).
   static constexpr std::size_t rx_slot_bytes = 16384;
+  std::vector<std::function<void()>> running_;
   std::unordered_map<int, loop_udp_transport*> sockets_;
   net::payload_pool pool_{1024};
   loop_stats stats_;

@@ -54,7 +54,7 @@ loop_udp_transport::loop_udp_transport(event_loop& loop, node_id self,
   ::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   bound_port_ = ntohs(bound.sin_port);
 
-  queue_.reserve(loop_.opts().batch);
+  queue_.reserve(event_loop::kBatch);
   set_roster(std::move(roster));
   loop_.add_socket(fd_, this);
 }
@@ -159,12 +159,11 @@ void loop_udp_transport::enqueue(const sockaddr_in& to,
 
 void loop_udp_transport::flush() {
   if (queue_.empty()) return;
-  const std::size_t batch = std::min<std::size_t>(loop_.opts().batch, 64);
   std::size_t done = 0;
   while (done < queue_.size()) {
-    const std::size_t n = std::min(batch, queue_.size() - done);
-    mmsghdr msgs[64];
-    iovec iovs[64];
+    const std::size_t n = std::min(event_loop::kBatch, queue_.size() - done);
+    mmsghdr msgs[event_loop::kBatch];
+    iovec iovs[event_loop::kBatch];
     for (std::size_t i = 0; i < n; ++i) {
       pending& p = queue_[done + i];
       const std::span<const std::byte> bytes = p.payload.bytes();
@@ -227,11 +226,10 @@ void loop_udp_transport::drain_rx() {
               len > event_loop::rx_slot_bytes);
     }
   }
-  const std::size_t batch = std::min<std::size_t>(loop_.opts().batch, 64);
   for (;;) {
-    mmsghdr msgs[64];
-    iovec iovs[64];
-    const std::size_t n = batch;
+    mmsghdr msgs[event_loop::kBatch];
+    iovec iovs[event_loop::kBatch];
+    const std::size_t n = event_loop::kBatch;
     for (std::size_t i = 0; i < n; ++i) {
       iovs[i].iov_base = loop_.rx_buf_.data() + i * event_loop::rx_slot_bytes;
       iovs[i].iov_len = event_loop::rx_slot_bytes;

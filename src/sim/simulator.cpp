@@ -1,49 +1,12 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <utility>
 
 namespace omega::sim {
 
-namespace {
-
-constexpr timer_id make_id(std::uint32_t slot, std::uint32_t gen) {
-  // slot + 1 keeps 0 == no_timer; the generation disambiguates reuse, so a
-  // cancel of an already-fired id can never hit the slot's next tenant.
-  return (static_cast<timer_id>(gen) << 32) | (slot + 1);
-}
-
-}  // namespace
-
-std::uint32_t simulator::acquire_slot() {
-  if (free_head_ != kNpos) {
-    const std::uint32_t idx = free_head_;
-    free_head_ = slots_[idx].next_free;
-    return idx;
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void simulator::release_slot(std::uint32_t idx) {
-  slot& s = slots_[idx];
-  s.fn.reset();
-  s.armed = false;
-  ++s.gen;  // invalidates the id and any stale heap record
-  s.next_free = free_head_;
-  free_head_ = idx;
-}
-
 timer_id simulator::schedule_at(time_point when, unique_task fn) {
   if (when < now_) when = now_;  // never schedule into the past
-  const std::uint32_t idx = acquire_slot();
-  slot& s = slots_[idx];
-  s.fn = std::move(fn);
-  s.armed = true;
-  heap_.push_back(event{when, next_seq_++, idx, s.gen});
-  std::push_heap(heap_.begin(), heap_.end(), later);
-  return make_id(idx, s.gen);
+  return timers_.push(when, std::move(fn));
 }
 
 timer_id simulator::schedule_after(duration after, unique_task fn) {
@@ -51,65 +14,22 @@ timer_id simulator::schedule_after(duration after, unique_task fn) {
   return schedule_at(now_ + after, std::move(fn));
 }
 
-void simulator::cancel(timer_id id) {
-  const std::uint32_t idx = static_cast<std::uint32_t>(id & 0xffffffffu) - 1;
-  const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-  if (idx >= slots_.size()) return;  // no_timer or never-issued id
-  slot& s = slots_[idx];
-  if (!s.armed || s.gen != gen) return;  // already fired or cancelled
-  release_slot(idx);
-  ++stale_in_heap_;  // its heap record is purged lazily (or compacted now)
-  if (heap_.size() >= kCompactMin && stale_in_heap_ * 2 > heap_.size()) {
-    compact();
-  }
-}
-
-void simulator::compact() {
-  std::erase_if(heap_, [this](const event& ev) { return !live(ev); });
-  std::make_heap(heap_.begin(), heap_.end(), later);
-  stale_in_heap_ = 0;
-}
-
-void simulator::purge_top() {
-  while (!heap_.empty() && !live(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    heap_.pop_back();
-    assert(stale_in_heap_ > 0);
-    --stale_in_heap_;
-  }
-}
-
-bool simulator::fire_next() {
-  purge_top();
-  if (heap_.empty()) return false;
-  const event ev = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  heap_.pop_back();
-  // Move the callback out before running: the callback may re-schedule or
-  // cancel other timers (including reusing this very slot).
-  unique_task fn = std::move(slots_[ev.slot].fn);
-  release_slot(ev.slot);
-  now_ = ev.when;
+bool simulator::fire_next(time_point limit) {
+  time_point when{};
+  unique_task fn;
+  if (!timers_.pop(limit, when, fn)) return false;
+  now_ = when;
   ++executed_;
   fn();
   return true;
 }
 
 void simulator::run_until(time_point deadline) {
-  for (;;) {
-    // Peek through cancelled entries to find the next live event time.
-    purge_top();
-    if (heap_.empty() || heap_.front().when > deadline) break;
-    fire_next();
+  while (fire_next(deadline)) {
   }
   now_ = deadline;
 }
 
-void simulator::run_all() {
-  while (fire_next()) {
-  }
-}
-
-bool simulator::step() { return fire_next(); }
+bool simulator::step() { return fire_next(time_point::max()); }
 
 }  // namespace omega::sim

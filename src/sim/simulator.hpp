@@ -8,20 +8,15 @@
 // it. This kernel is the stand-in for the paper's 12-workstation LAN
 // testbed (see DESIGN.md §1).
 //
-// Hot-path layout (DESIGN.md §9): callbacks live in a slab of small-buffer
-// `unique_task` slots recycled through a free list; the binary heap stores
-// 24-byte (when, seq, slot, generation) records. A `timer_id` encodes
-// (generation << 32 | slot + 1), so `cancel` is an O(1) slot release with
-// no hash lookups — stale heap records are skipped lazily on pop and purged
-// eagerly once they outnumber the live ones. Scheduling, cancelling and
-// firing a timer are all allocation-free in steady state.
+// Events queue on `common/timer_heap`, the timer core the live event loop
+// shares (DESIGN.md §9); each popped event advances `now()` to its deadline.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/executor.hpp"
 #include "common/time.hpp"
+#include "common/timer_heap.hpp"
 
 namespace omega::sim {
 
@@ -35,82 +30,25 @@ class simulator final : public clock_source, public timer_service {
   // timer_service
   timer_id schedule_at(time_point when, unique_task fn) override;
   timer_id schedule_after(duration after, unique_task fn) override;
-  void cancel(timer_id id) override;
+  void cancel(timer_id id) override { timers_.cancel(id); }
 
   /// Runs events until the queue is empty or virtual time would pass
   /// `deadline`; leaves `now() == deadline`.
   void run_until(time_point deadline);
 
-  /// Runs events until the queue drains completely (use with care: periodic
-  /// protocol timers re-arm themselves and never drain).
-  void run_all();
-
   /// Runs at most one event. Returns false when the queue is empty.
   bool step();
-
-  /// True if no events are pending (cancelled events are purged lazily and
-  /// do not count).
-  [[nodiscard]] bool idle() const { return live_events() == 0; }
-
-  /// Number of scheduled-but-not-cancelled events.
-  [[nodiscard]] std::size_t live_events() const {
-    return heap_.size() - stale_in_heap_;
-  }
 
   /// Total events executed since construction (simulation cost measure).
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  /// Heap records, cancelled-but-not-yet-purged ones included (white-box:
-  /// the compaction tests watch this against `live_events`).
-  [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
-  /// High-water mark of concurrently pending timers (slab slots ever built).
-  [[nodiscard]] std::size_t slab_slots() const { return slots_.size(); }
-
  private:
-  struct event {
-    time_point when;
-    std::uint64_t seq;   // tie-breaker: FIFO among equal times
-    std::uint32_t slot;  // slab index of the callback
-    std::uint32_t gen;   // must match the slot's generation to be live
-  };
-  /// std::push_heap-style comparator: "a fires after b" puts the earliest
-  /// (when, seq) at the front.
-  static bool later(const event& a, const event& b) {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
-
-  struct slot {
-    unique_task fn;
-    std::uint32_t gen = 1;       // bumped on every release; 1:1 with heap use
-    std::uint32_t next_free = kNpos;
-    bool armed = false;
-  };
-  static constexpr std::uint32_t kNpos = 0xffffffffu;
-  /// Below this queue size lazy purge is cheap enough; no eager compaction.
-  static constexpr std::size_t kCompactMin = 64;
-
-  [[nodiscard]] bool live(const event& ev) const {
-    const slot& s = slots_[ev.slot];
-    return s.armed && s.gen == ev.gen;
-  }
-  /// Pops and runs the next live event, if any.
-  bool fire_next();
-  /// Pops stale records off the heap top (run_until peeks through them).
-  void purge_top();
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t idx);
-  /// Drops every stale record and re-heapifies; total (when, seq) order
-  /// makes the rebuilt heap equivalent, so delivery order is unchanged.
-  void compact();
+  /// Pops and runs the next live event due at or before `limit`, if any.
+  bool fire_next(time_point limit);
 
   time_point now_{};
-  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::vector<event> heap_;
-  std::vector<slot> slots_;
-  std::uint32_t free_head_ = kNpos;
-  std::size_t stale_in_heap_ = 0;
+  timer_heap timers_;
 };
 
 }  // namespace omega::sim

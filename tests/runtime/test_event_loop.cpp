@@ -143,27 +143,69 @@ TEST(EventLoop, CrossThreadTimerWakesIdleLoop) {
 }
 
 TEST(EventLoop, TimerSlackClustersDueTimers) {
-  // Two timers within the slack window of each other run on the same
-  // wakeup — the alignment that keeps co-scheduled heartbeats batched.
-  event_loop::options opts;
-  opts.timer_slack = msec(5);
-  event_loop loop(opts);
+  // Two timers within the slack window (500us) of each other run on the
+  // same wakeup — the alignment that keeps co-scheduled heartbeats batched.
+  event_loop loop;
   std::atomic<int> fired{0};
   std::uint64_t iter_first = 0;
   std::uint64_t iter_second = 0;
   loop.sync([&] {
-    loop.schedule_after(msec(20), [&] {
+    const time_point first = loop.now() + msec(20);
+    loop.schedule_at(first, [&] {
       iter_first = loop.stats_snapshot().iterations;
       fired.fetch_add(1);
     });
-    loop.schedule_after(msec(22), [&] {
+    loop.schedule_at(first + usec(200), [&] {
       iter_second = loop.stats_snapshot().iterations;
       fired.fetch_add(1);
     });
   });
   ASSERT_TRUE(wait_until([&] { return fired.load() == 2; }, 2000ms));
   EXPECT_EQ(iter_first, iter_second)
-      << "timers 2ms apart (slack 5ms) should fire on one loop iteration";
+      << "timers 200us apart (slack 500us) should fire on one loop iteration";
+}
+
+TEST(EventLoop, EqualDeadlinesFireInScheduleOrder) {
+  event_loop loop;
+  std::vector<int> order;
+  std::atomic<int> fired{0};
+  loop.sync([&] {
+    const time_point when = loop.now() + msec(10);
+    for (int i = 0; i < 10; ++i) {
+      loop.schedule_at(when, [&order, &fired, i] {
+        order.push_back(i);
+        fired.fetch_add(1);
+      });
+    }
+  });
+  ASSERT_TRUE(wait_until([&] { return fired.load() == 10; }, 2000ms));
+  loop.sync([&] {
+    ASSERT_EQ(order.size(), 10u);
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  });
+}
+
+TEST(EventLoop, FiredIdNeverCancelsItsSlotsNextTimer) {
+  // Timer ids name a recycled slot plus its generation: once A fired, B may
+  // take A's slot, and a late cancel of A's id (a scoped_timer re-arming
+  // after its timer already ran does exactly this) must leave B armed.
+  event_loop loop;
+  std::atomic<bool> a_fired{false};
+  timer_id a{};
+  loop.sync([&] {
+    a = loop.schedule_after(msec(1), [&] { a_fired.store(true); });
+  });
+  ASSERT_TRUE(wait_until([&] { return a_fired.load(); }, 2000ms));
+  std::atomic<bool> b_fired{false};
+  timer_id b{};
+  loop.sync([&] {
+    b = loop.schedule_after(msec(5), [&] { b_fired.store(true); });
+    loop.cancel(a);
+  });
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a & 0xffffffffu, b & 0xffffffffu) << "B did not reuse A's slot";
+  EXPECT_TRUE(wait_until([&] { return b_fired.load(); }, 2000ms))
+      << "cancelling a fired id disarmed the timer in its recycled slot";
 }
 
 TEST(EventLoop, PostRunsOnLoopThread) {
