@@ -51,7 +51,8 @@ void BM_LinkEstimatorUpdate(benchmark::State& state) {
   time_point now = time_origin;
   for (auto _ : state) {
     now += msec(250);
-    est.on_heartbeat(++seq, now - msec(3), now);
+    est.on_heartbeat(now - msec(3), now);
+    est.on_sequence(group_id{1}, ++seq);
     benchmark::DoNotOptimize(est.estimate());
   }
 }
@@ -61,11 +62,11 @@ proto::alive_msg sample_alive() {
   proto::alive_msg msg;
   msg.from = node_id{7};
   msg.inc = 3;
-  msg.seq = 123456;
   msg.send_time = time_origin + sec(5);
   msg.eta = msec(250);
   proto::group_payload payload;
   payload.group = group_id{1};
+  payload.seq = 123456;
   payload.pid = process_id{7};
   payload.candidate = true;
   payload.competing = true;

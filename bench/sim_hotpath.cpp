@@ -81,7 +81,8 @@ struct driver {
 
   void tick() {
     auto& alive = std::get<proto::alive_msg>(msg);
-    alive.seq = ++seq;
+    ++seq;
+    for (auto& payload : alive.groups) payload.seq = seq;
     alive.send_time = sim->now();
     ep->multicast(dsts, proto::encode_shared(msg, ep->pool()));
     sim->schedule_after(interval, [this] { tick(); });

@@ -27,7 +27,7 @@ cmake --build .bench_build/cmake --target e2ebench e2ebench_selftest -j
 # successor and timing, plus event, datagram and byte counts), so a src/
 # change that keeps protocol behaviour keeps the value. Same contract as
 # tests/harness/test_golden_trace.cpp.
-sim_fingerprint=58da7aea4ca9c6c9
+sim_fingerprint=d124c4aab9806505
 sim_notes="$(python3 e2ebench/run.py --workload sim_hier_failover --seed 7 \
   --seconds 30 --trace 0)"
 if ! grep -q "^fingerprint ${sim_fingerprint} " <<< "$sim_notes"; then
@@ -39,6 +39,25 @@ if ! grep -q "^fingerprint ${sim_fingerprint} " <<< "$sim_notes"; then
   exit 1
 fi
 echo "ci.sh: sim_hier_failover seed 7 fingerprint ${sim_fingerprint} holds"
+
+# The paper's stability claim at the scale no ctest reaches: on the traced
+# seed-7 run of the 120-node three-tier kill loop, the agreed global leader
+# never moves off a live, well-connected process (Omega_lc: zero unjustified
+# demotions).
+traced_result="$(python3 e2ebench/run.py --workload sim_hier_failover --seed 7 \
+  --seconds 30 --trace 1 | tail -n 1)" || {
+  echo "ci.sh: traced sim_hier_failover seed 7 did not produce a result" >&2
+  exit 1
+}
+unjustified="$(python3 -c 'import json, sys
+print(int(json.loads(sys.argv[1])["metrics"]["election.unjustified_changes"]["value"]))' \
+  "$traced_result")"
+if [ "$unjustified" != 0 ]; then
+  echo "ci.sh: traced sim_hier_failover seed 7 reports ${unjustified}" \
+    "unjustified global-leader changes, expected 0" >&2
+  exit 1
+fi
+echo "ci.sh: traced sim_hier_failover seed 7: 0 unjustified leader changes"
 
 # The live runtime under the churn it serves: 256 real-UDP services whose
 # group leaders are killed and restarted for 30 s, on the loop's timer path.

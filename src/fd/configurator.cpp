@@ -88,11 +88,12 @@ fd_params configure(const qos_spec& qos, const link_estimate& link,
   const int steps = std::max(opts.grid_steps, 4);
 
   double best_eta = 0.0;
-  double best_q0 = 1.0;
   double best_recurrence = 0.0;
 
   // Walk eta from largest (cheapest) to smallest; take the first feasible
-  // point. Track the best-achievable recurrence for the infeasible fallback.
+  // point. Track the best-achievable recurrence for the infeasible fallback,
+  // over points with eta <= delta only: there k = floor(delta/eta) + 1 >= 2,
+  // so one late or lost heartbeat never raises a suspicion on its own.
   for (int i = steps - 1; i >= 1; --i) {
     const double eta = total * static_cast<double>(i) / static_cast<double>(steps);
     const double delta = total - eta;
@@ -105,15 +106,13 @@ fd_params configure(const qos_spec& qos, const link_estimate& link,
       const duration eta_d = from_seconds(eta);
       return fd_params{eta_d, qos.detection_time - eta_d, true};
     }
-    if (recurrence > best_recurrence) {
+    if (eta <= delta && recurrence > best_recurrence) {
       best_recurrence = recurrence;
       best_eta = eta;
-      best_q0 = q0;
     }
   }
 
   // Nothing feasible (e.g. loss too high for this T^U_D): best effort.
-  (void)best_q0;
   fd_params params;
   params.eta = from_seconds(best_eta > 0.0 ? best_eta : total / steps);
   params.delta = qos.detection_time - params.eta;

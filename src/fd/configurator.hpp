@@ -22,8 +22,10 @@
 // operating point) with delta = T^U_D - eta such that both the E[T_MR] and
 // the P_A constraints hold. When no point on the grid is feasible (e.g.
 // extremely lossy link and tight T^U_D), it returns the point with the best
-// achievable mistake recurrence and marks it `qos_feasible = false` — the
-// same "QoS under some conditions" caveat as the paper.
+// achievable mistake recurrence among those with delta >= eta, and marks it
+// `qos_feasible = false` — the same "QoS under some conditions" caveat as
+// the paper. A best effort never has delta < eta: such a monitor suspects
+// a live sender whenever one heartbeat is late or lost.
 #pragma once
 
 #include "fd/qos.hpp"

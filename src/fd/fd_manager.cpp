@@ -107,6 +107,7 @@ void fd_manager::remove_group(group_id group) {
   plans_.erase(group);
   for (auto& [node, state] : remotes_) {
     trusted_pairs_.erase(trust_key(group, node));
+    state->lqe.drop_stream(group);
     state->monitors.erase(group);
     state->params.erase(group);
     state->hot.clear();
@@ -191,8 +192,7 @@ void fd_manager::on_alive(const proto::alive_msg& msg, time_point recv_time) {
   const bool have_gap = state.last_heard != time_point{};
   const duration gap = have_gap ? recv_time - state.last_heard : duration{};
   state.last_heard = recv_time;
-  state.lqe.on_heartbeat(msg.seq, msg.send_time, recv_time);
-  if (on_link_sample_) on_link_sample_(msg.from, state.lqe.estimate(), recv_time);
+  state.lqe.on_heartbeat(msg.send_time, recv_time);
 
   // Distinct class cells already observed for this ALIVE (groups sharing a
   // class share a cell, so pointer identity is the dedup key).
@@ -215,6 +215,7 @@ void fd_manager::on_alive(const proto::alive_msg& msg, time_point recv_time) {
       state.hot.push_back({payload.group, mon, interarrival_cell(payload.group)});
       entry = &state.hot.back();
     }
+    state.lqe.on_sequence(payload.group, payload.seq);
     if (have_gap && entry->interarrival != nullptr && observed_n < 4) {
       bool seen = false;
       for (std::size_t i = 0; i < observed_n; ++i) {
@@ -230,6 +231,7 @@ void fd_manager::on_alive(const proto::alive_msg& msg, time_point recv_time) {
     }
     entry->monitor->on_heartbeat(msg.send_time, msg.eta);
   }
+  if (on_link_sample_) on_link_sample_(msg.from, state.lqe.estimate(), recv_time);
 }
 
 void fd_manager::drop(group_id group, node_id remote) {
@@ -240,6 +242,7 @@ void fd_manager::drop(group_id group, node_id remote) {
   auto it = remotes_.find(remote);
   if (it == remotes_.end()) return;
   trusted_pairs_.erase(trust_key(group, remote));
+  it->second->lqe.drop_stream(group);
   it->second->monitors.erase(group);
   it->second->params.erase(group);
   it->second->hot.clear();

@@ -12,6 +12,8 @@
 // tuning policy pins operating points through a layered `param_plan`
 // (group default + per-remote refinement), so one bad WAN link never drags
 // every clean LAN link in the group down to the worst link's delta.
+// Loss is counted per (remote, group) heartbeat stream, since a remote
+// sends each group's payload only to that group's members.
 #pragma once
 
 #include <cstdint>
@@ -88,13 +90,14 @@ class fd_manager {
   /// groups fall under "default".
   void set_group_class(group_id group, std::string label);
 
-  /// Feeds one received ALIVE message: link statistics at node level, then
-  /// freshness for every carried group payload (monitors are created
-  /// lazily). Heartbeats from an unknown/old incarnation reset/discard
-  /// state as appropriate.
+  /// Feeds one received ALIVE message: its delay sample at node level, then
+  /// for every carried payload of a local group its stream counter (loss)
+  /// and freshness (monitors are created lazily). Heartbeats from an
+  /// unknown/old incarnation reset/discard state as appropriate.
   void on_alive(const proto::alive_msg& msg, time_point recv_time);
 
-  /// Drops monitoring state for one (group, remote) — the member left.
+  /// Drops monitoring state for one (group, remote) — the member left —
+  /// including the loss count of that (remote, group) stream.
   /// The remote's min-combined heartbeat rate is recomputed immediately
   /// (and a RATE_REQ sent if it relaxed beyond the hysteresis band), so a
   /// departed tight group stops pinning the remote to a fast rate until

@@ -9,8 +9,7 @@ link_quality_estimator::link_quality_estimator(options opts)
       delay_seconds_(opts.delay_window),
       raw_diff_seconds_(opts.delay_window) {}
 
-void link_quality_estimator::on_heartbeat(std::uint64_t seq, time_point sent,
-                                          time_point received) {
+void link_quality_estimator::on_heartbeat(time_point sent, time_point received) {
   est_valid_ = false;
   ++total_received_;
   if (opts_.synchronized_clocks) {
@@ -21,25 +20,40 @@ void link_quality_estimator::on_heartbeat(std::uint64_t seq, time_point sent,
     // difference; estimate() re-bases against the window minimum.
     raw_diff_seconds_.add(to_seconds(received - sent));
   }
-
-  if (!epoch_open_) {
-    epoch_open_ = true;
-    epoch_min_seq_ = epoch_max_seq_ = seq;
-    epoch_received_ = 1;
-    return;
-  }
-  epoch_min_seq_ = std::min(epoch_min_seq_, seq);
-  epoch_max_seq_ = std::max(epoch_max_seq_, seq);
-  ++epoch_received_;
-  if (epoch_received_ >= opts_.loss_epoch) roll_epoch();
 }
 
-void link_quality_estimator::roll_epoch() {
-  const std::uint64_t span = epoch_max_seq_ - epoch_min_seq_ + 1;
-  double observed = 0.0;
-  if (span > epoch_received_) {
-    observed = 1.0 - static_cast<double>(epoch_received_) / static_cast<double>(span);
+void link_quality_estimator::on_sequence(group_id stream, std::uint64_t seq) {
+  est_valid_ = false;
+  const auto is_stream = [stream](const stream_epoch& e) { return e.stream == stream; };
+  auto it = std::find_if(streams_.begin(), streams_.end(), is_stream);
+  stream_epoch& epoch =
+      it != streams_.end() ? *it : streams_.emplace_back(stream_epoch{stream});
+  if (epoch.received == 0) {
+    epoch.min_seq = epoch.max_seq = seq;
+    epoch.received = 1;
+    return;
   }
+  epoch.min_seq = std::min(epoch.min_seq, seq);
+  epoch.max_seq = std::max(epoch.max_seq, seq);
+  ++epoch.received;
+  if (epoch.received >= opts_.loss_epoch) roll_epoch(epoch);
+}
+
+void link_quality_estimator::drop_stream(group_id stream) {
+  est_valid_ = false;
+  std::erase_if(streams_,
+                [stream](const stream_epoch& e) { return e.stream == stream; });
+}
+
+double link_quality_estimator::epoch_loss(const stream_epoch& epoch) {
+  const std::uint64_t span = epoch.max_seq - epoch.min_seq + 1;
+  return span > epoch.received
+             ? 1.0 - static_cast<double>(epoch.received) / static_cast<double>(span)
+             : 0.0;
+}
+
+void link_quality_estimator::roll_epoch(stream_epoch& epoch) {
+  const double observed = epoch_loss(epoch);
   if (have_loss_) {
     loss_ewma_ = (1.0 - opts_.loss_ewma_alpha) * loss_ewma_ +
                  opts_.loss_ewma_alpha * observed;
@@ -47,8 +61,7 @@ void link_quality_estimator::roll_epoch() {
     loss_ewma_ = observed;
     have_loss_ = true;
   }
-  epoch_open_ = false;
-  epoch_received_ = 0;
+  epoch.received = 0;
 }
 
 void link_quality_estimator::reset() {
@@ -56,8 +69,7 @@ void link_quality_estimator::reset() {
   delay_seconds_.reset();
   raw_diff_seconds_.reset();
   total_received_ = 0;
-  epoch_open_ = false;
-  epoch_received_ = 0;
+  streams_.clear();
   have_loss_ = false;
   loss_ewma_ = 0.0;
 }
@@ -96,17 +108,19 @@ link_estimate link_quality_estimator::estimate() const {
     est.delay_stddev = from_seconds(raw_diff_seconds_.stddev());
   }
 
-  double loss;
+  double loss = est.loss_probability;  // conservative default
   if (have_loss_) {
     loss = loss_ewma_;
-  } else if (epoch_open_ && epoch_received_ >= 16) {
-    // Early estimate from the partial first epoch.
-    const std::uint64_t span = epoch_max_seq_ - epoch_min_seq_ + 1;
-    loss = span > epoch_received_
-               ? 1.0 - static_cast<double>(epoch_received_) / static_cast<double>(span)
-               : 0.0;
   } else {
-    loss = est.loss_probability;  // keep the conservative default
+    // Early estimate from the fullest partial first epoch.
+    const auto fullest = std::max_element(
+        streams_.begin(), streams_.end(),
+        [](const stream_epoch& a, const stream_epoch& b) {
+          return a.received < b.received;
+        });
+    if (fullest != streams_.end() && fullest->received >= 16) {
+      loss = epoch_loss(*fullest);
+    }
   }
   est.loss_probability = std::clamp(std::max(loss, opts_.loss_floor), 0.0, 1.0);
   est_cache_ = est;

@@ -3,8 +3,10 @@
 // Continuously estimates the quality of the directed link from a monitored
 // process q to the local process p, using only the ALIVE messages p
 // receives from q:
-//   * message-loss probability p_L — from gaps in the heartbeat sequence
-//     numbers, folded over fixed-size epochs into an EWMA. The estimate is
+//   * message-loss probability p_L — from gaps in q's per-group heartbeat
+//     counters (`proto::group_payload::seq`; q sends an ALIVE only to the
+//     members of the groups it carries), each (q, group) stream filling
+//     its own fixed-size epochs, all folded into one EWMA. The estimate is
 //     floored at ~1/(2*window): a finite sample can never certify a lower
 //     loss rate, and the floor is what makes the configurator keep a safety
 //     margin on clean LANs.
@@ -26,7 +28,9 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "common/ids.hpp"
 #include "common/stats.hpp"
 #include "common/time.hpp"
 #include "fd/qos.hpp"
@@ -37,7 +41,7 @@ class link_quality_estimator {
  public:
   struct options {
     std::size_t delay_window = 256;   // samples kept for E[D], S[D]
-    std::size_t loss_epoch = 128;     // heartbeats per loss-counting epoch
+    std::size_t loss_epoch = 128;     // heartbeats per stream per epoch
     double loss_ewma_alpha = 0.3;     // weight of the newest epoch
     double loss_floor = 0.5 / 256.0;  // cannot certify loss below this
     /// True (default): sender and receiver clocks are comparable, delays
@@ -62,23 +66,42 @@ class link_quality_estimator {
   link_quality_estimator() : link_quality_estimator(options{}) {}
   explicit link_quality_estimator(options opts);
 
-  /// Feeds one received heartbeat. Duplicate or reordered sequence numbers
-  /// are tolerated (reordering shrinks the apparent gap; duplicates cannot
-  /// occur because each sequence number is sent exactly once).
-  void on_heartbeat(std::uint64_t seq, time_point sent, time_point received);
+  /// Feeds the delay sample of one received ALIVE (once per datagram,
+  /// whatever groups it carries).
+  void on_heartbeat(time_point sent, time_point received);
+
+  /// Feeds heartbeat number `seq` of `stream`, the sender's counter of one
+  /// group's payloads. Reordered numbers are tolerated (reordering shrinks
+  /// the apparent gap; duplicates cannot occur because each number is sent
+  /// exactly once).
+  void on_sequence(group_id stream, std::uint64_t seq);
+
+  /// Forgets one stream's open epoch (its group stopped monitoring the
+  /// sender), so a stream that resumes later opens a fresh epoch.
+  void drop_stream(group_id stream);
 
   /// Forgets everything (monitored process restarted with a new incarnation,
-  /// so the old stream's statistics no longer apply).
+  /// so the old streams' statistics no longer apply).
   void reset();
 
   /// Current (p_L, E[D], S[D]) estimate with the number of samples behind it.
   [[nodiscard]] link_estimate estimate() const;
 
-  /// Total heartbeats observed since the last reset.
+  /// Total ALIVEs observed since the last reset.
   [[nodiscard]] std::uint64_t heartbeats_seen() const { return total_received_; }
 
  private:
-  void roll_epoch();
+  /// One stream's open loss-counting epoch; closed while `received` is 0.
+  struct stream_epoch {
+    group_id stream;
+    std::uint64_t min_seq = 0;
+    std::uint64_t max_seq = 0;
+    std::uint64_t received = 0;
+  };
+
+  /// Fraction of the epoch's sequence span that never arrived.
+  static double epoch_loss(const stream_epoch& epoch);
+  void roll_epoch(stream_epoch& epoch);
 
   options opts_;
   windowed_stats delay_seconds_;  // absolute (synchronized) or re-based (skewed)
@@ -92,10 +115,8 @@ class link_quality_estimator {
   mutable bool est_valid_ = false;
   mutable link_estimate est_cache_{};
 
-  bool epoch_open_ = false;
-  std::uint64_t epoch_min_seq_ = 0;
-  std::uint64_t epoch_max_seq_ = 0;
-  std::uint64_t epoch_received_ = 0;
+  /// Scanned linearly: a sender carries a handful of groups.
+  std::vector<stream_epoch> streams_;
 
   bool have_loss_ = false;
   double loss_ewma_ = 0.0;

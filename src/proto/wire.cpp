@@ -14,12 +14,12 @@ constexpr std::size_t max_repeated = 4096;
 void encode_body(byte_writer& w, const alive_msg& m) {
   w.write_id(m.from);
   w.write_u32(m.inc);
-  w.write_u64(m.seq);
   w.write_time(m.send_time);
   w.write_duration(m.eta);
   w.write_u16(static_cast<std::uint16_t>(m.groups.size()));
   for (const auto& g : m.groups) {
     w.write_id(g.group);
+    w.write_u64(g.seq);
     w.write_id(g.pid);
     w.write_bool(g.candidate);
     w.write_bool(g.competing);
@@ -33,7 +33,6 @@ void encode_body(byte_writer& w, const alive_msg& m) {
 bool decode_body(byte_reader& r, alive_msg& m) {
   m.from = r.read_id<node_id>();
   m.inc = r.read_u32();
-  m.seq = r.read_u64();
   m.send_time = r.read_time();
   m.eta = r.read_duration();
   const std::size_t n = r.read_u16();
@@ -43,6 +42,7 @@ bool decode_body(byte_reader& r, alive_msg& m) {
   for (std::size_t i = 0; i < n; ++i) {
     group_payload g;
     g.group = r.read_id<group_id>();
+    g.seq = r.read_u64();
     g.pid = r.read_id<process_id>();
     g.candidate = r.read_bool();
     g.competing = r.read_bool();

@@ -4,7 +4,10 @@
 //   ALIVE      — heartbeat of the shared failure detector, carrying one
 //                election payload per group the sender is active in
 //                (the shared-FD architecture of Deianov/Toueg amortizes one
-//                heartbeat stream over every group and application).
+//                heartbeat stream over every group and application). Each
+//                payload carries its own heartbeat counter: the datagram
+//                goes to the members of the carried groups only, so loss
+//                is counted per (sender, group) stream, not per datagram.
 //   ACCUSE     — "I suspected you": drives the accusation-time mechanism of
 //                the Omega_lc / Omega_l algorithms.
 //   HELLO      — group membership announcement / periodic anti-entropy.
@@ -36,6 +39,9 @@ namespace omega::proto {
 /// Election state for one group, piggybacked on an ALIVE message.
 struct group_payload {
   group_id group;
+  /// How many ALIVEs from this sender have carried this group's payload,
+  /// this one included: the per-(sender, group) heartbeat counter.
+  std::uint64_t seq = 0;
   process_id pid;                 // sending process within this group
   bool candidate = false;         // willing to lead (join-time flag)
   bool competing = false;         // Omega_l: actively contending for leadership
@@ -49,12 +55,11 @@ struct group_payload {
   friend bool operator==(const group_payload&, const group_payload&) = default;
 };
 
-/// Node-level heartbeat. `seq` increases by one per ALIVE actually sent, so
-/// the link-quality estimator can infer losses from gaps.
+/// Node-level heartbeat: one send time and interval for every carried group
+/// payload; each payload numbers its own stream (`group_payload::seq`).
 struct alive_msg {
   node_id from;
   incarnation inc = 0;
-  std::uint64_t seq = 0;
   time_point send_time{};
   duration eta{};  // sender's current heartbeat interval
   std::vector<group_payload> groups;

@@ -450,8 +450,13 @@ void leader_election_service::schedule_alive() {
   // Never arm in the past or at the current instant: a suppressed send (e.g.
   // an Omega_l follower outside the competition, or a node with no peers yet)
   // leaves last_alive_sent_ stale, and re-arming "at now" would make the
-  // timer fire repeatedly at the same simulated instant.
-  if (due <= now) due = now + eta;
+  // timer fire repeatedly at the same simulated instant. Nor past the tick
+  // already pending: a faster rate request arriving once its interval has
+  // elapsed must not postpone that tick, and a stream of them would.
+  if (due <= now) {
+    due = alive_due_ > now ? std::min(now + eta, alive_due_) : now + eta;
+  }
+  alive_due_ = due;
   alive_timer_.arm_at(due, [this] { alive_tick(); });
 }
 
@@ -484,7 +489,7 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
   }
   if (msg.groups.empty() || destinations.empty()) return;
 
-  msg.seq = ++alive_seq_;
+  for (auto& payload : msg.groups) payload.seq = ++payload_seq_[payload.group];
   last_alive_sent_ = clock_.now();
   ++stats_.alive_sent;
   // Eager ALIVEs fired from within an activation (competition entry, rank

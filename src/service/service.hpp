@@ -11,7 +11,8 @@
 // The instance multiplexes all groups over a single node-level heartbeat
 // stream (the shared-FD architecture of [6, 11] that amortizes monitoring
 // cost across applications): each ALIVE datagram carries one election
-// payload per group in which this node is actively transmitting.
+// payload per group in which this node is actively transmitting, and each
+// payload numbers its own group's heartbeat stream.
 //
 // Destroying the instance models a workstation crash: no goodbyes are sent
 // and all volatile state vanishes. The churn injector of the experiment
@@ -212,8 +213,11 @@ class leader_election_service {
   std::unordered_map<group_id, group_state> groups_;
 
   scoped_timer alive_timer_;
-  std::uint64_t alive_seq_ = 0;
+  /// Per-group heartbeat counters (`group_payload::seq`); they outlive
+  /// leave/rejoin, so no stream restarts or gaps without a lost datagram.
+  std::unordered_map<group_id, std::uint64_t> payload_seq_;
   time_point last_alive_sent_{};
+  time_point alive_due_{};  // when alive_timer_ fires (or last fired)
 
   leader_callback leader_observer_;
 };

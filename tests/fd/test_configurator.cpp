@@ -186,6 +186,24 @@ TEST(Configurator, InfeasibleFallsBackToBestEffort) {
   EXPECT_EQ(params.eta + params.delta, qos.detection_time);
 }
 
+TEST(Configurator, InfeasibleFallbackKeepsDeltaAtLeastEta) {
+  // A best effort with delta < eta (say eta 990 ms, delta 10 ms) suspects a
+  // live sender on any single late or lost heartbeat. The fallback must
+  // keep k = floor(delta/eta) + 1 >= 2 whatever the loss estimate.
+  qos_spec qos;
+  qos.detection_time = sec(1);
+  qos.mistake_recurrence = std::chrono::duration_cast<duration>(std::chrono::hours(2));
+  qos.query_accuracy = 0.9999;
+  for (const double loss : {0.90, 0.95, 0.97}) {
+    for (const duration delay : {usec(25), msec(10), msec(100)}) {
+      const auto params = configure(qos, make_link(loss, delay));
+      EXPECT_FALSE(params.qos_feasible) << loss << " " << to_seconds(delay);
+      EXPECT_GE(params.delta, params.eta) << loss << " " << to_seconds(delay);
+      EXPECT_EQ(params.eta + params.delta, qos.detection_time);
+    }
+  }
+}
+
 TEST(Configurator, ChebyshevModeIsMoreConservative) {
   configurator_options exp_opts;
   configurator_options cheb_opts;

@@ -37,18 +37,19 @@ struct fd_fixture {
     fd.start();
   }
 
+  /// An ALIVE whose every payload carries heartbeat number `seq`.
   proto::alive_msg alive_from(node_id from, incarnation inc, std::uint64_t seq,
                               duration eta,
                               std::initializer_list<group_id> groups = {g1}) {
     proto::alive_msg msg;
     msg.from = from;
     msg.inc = inc;
-    msg.seq = seq;
     msg.send_time = sim.now();
     msg.eta = eta;
     for (group_id g : groups) {
       proto::group_payload p;
       p.group = g;
+      p.seq = seq;
       p.pid = process_id{from.value()};
       p.candidate = true;
       p.competing = true;
@@ -330,6 +331,38 @@ TEST(FdManager, DropNodeClearsPerRemoteRefinements) {
   f.fd.drop_node(remote);
   EXPECT_FALSE(f.fd.params_override(g1, remote).has_value())
       << "a gone node's refinement must not apply to its reincarnation";
+}
+
+TEST(FdManager, LossCountsOnlyPayloadsSentToThisReceiver) {
+  // The sender alternates between ALIVEs carrying {g1, g2} (sent to the
+  // members of both) and ALIVEs carrying only g2 (sent to g2's members).
+  // This receiver is in g1 only, so it gets every other ALIVE: the
+  // sender's datagram count and its g2 counter run twice as fast as g1's.
+  fd_fixture f;
+  const fd_manager::options defaults;
+  const double floor = defaults.lqe.loss_floor;
+  const std::size_t epoch = defaults.lqe.loss_epoch;
+  f.fd.add_group(g1, qos_spec::paper_default());
+  std::uint64_t g1_seq = 0;
+  std::uint64_t g2_seq = 0;
+  const auto receive_pair = [&] {
+    proto::alive_msg msg = f.alive(1, 0, msec(125), {g1, g2});
+    msg.groups[0].seq = ++g1_seq;
+    msg.groups[1].seq = ++g2_seq;
+    ++g2_seq;  // the {g2}-only ALIVE this receiver is not sent
+    f.fd.on_alive(msg, f.sim.now());
+    f.sim.run_until(f.sim.now() + msec(250));
+  };
+  for (std::size_t i = 0; i < 3 * epoch + epoch / 2; ++i) receive_pair();
+  EXPECT_DOUBLE_EQ(f.fd.link_quality(remote).loss_probability, floor);
+
+  // The member leaves g1 with half an epoch open; the stream resumes far
+  // ahead (the sender kept numbering g1 payloads to others meanwhile).
+  // The dropped epoch must not span the jump.
+  f.fd.drop(g1, remote);
+  g1_seq += 1000;
+  for (std::size_t i = 0; i < epoch; ++i) receive_pair();
+  EXPECT_DOUBLE_EQ(f.fd.link_quality(remote).loss_probability, floor);
 }
 
 TEST(FdManager, ParamsAdaptWhenLinkDegrades) {

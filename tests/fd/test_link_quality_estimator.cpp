@@ -7,6 +7,16 @@
 namespace omega::fd {
 namespace {
 
+const group_id ga{1};
+const group_id gb{2};
+
+// Feeds one ALIVE carrying heartbeat `seq` of stream `g`.
+void feed(link_quality_estimator& lqe, group_id g, std::uint64_t seq,
+          time_point sent, time_point received) {
+  lqe.on_heartbeat(sent, received);
+  lqe.on_sequence(g, seq);
+}
+
 // Feeds `n` heartbeats at interval eta with loss probability `loss` and
 // exponential delay `delay_mean`, returning the resulting estimate.
 link_estimate feed_stream(link_quality_estimator& lqe, int n, duration eta,
@@ -17,7 +27,7 @@ link_estimate feed_stream(link_quality_estimator& lqe, int n, duration eta,
     send += eta;
     if (r.bernoulli(loss)) continue;  // lost: the monitor never sees it
     const duration d = r.exponential(delay_mean);
-    lqe.on_heartbeat(static_cast<std::uint64_t>(seq), send, send + d);
+    feed(lqe, ga, static_cast<std::uint64_t>(seq), send, send + d);
   }
   return lqe.estimate();
 }
@@ -66,7 +76,7 @@ TEST(LinkQualityEstimator, AdaptsWhenLinkDegrades) {
   for (int seq = 3001; seq <= 8000; ++seq) {
     send += msec(100);
     if (r.bernoulli(0.1)) continue;
-    lqe.on_heartbeat(static_cast<std::uint64_t>(seq), send, send + msec(1));
+    feed(lqe, ga, static_cast<std::uint64_t>(seq), send, send + msec(1));
   }
   const double degraded = lqe.estimate().loss_probability;
   EXPECT_GT(degraded, clean * 5);
@@ -86,8 +96,8 @@ TEST(LinkQualityEstimator, ReorderedHeartbeatsTolerated) {
   time_point t = time_origin;
   for (std::uint64_t base = 1; base <= 600; base += 2) {
     t += msec(100);
-    lqe.on_heartbeat(base + 1, t, t + msec(2));
-    lqe.on_heartbeat(base, t, t + msec(3));
+    feed(lqe, ga, base + 1, t, t + msec(2));
+    feed(lqe, ga, base, t, t + msec(3));
   }
   const auto est = lqe.estimate();
   EXPECT_LT(est.loss_probability, 0.05);  // nothing was actually lost
@@ -97,7 +107,7 @@ TEST(LinkQualityEstimator, ClockSkewClampedToZeroDelay) {
   link_quality_estimator lqe;
   for (std::uint64_t seq = 1; seq <= 64; ++seq) {
     const time_point send = time_origin + sec(1) * seq;
-    lqe.on_heartbeat(seq, send, send - usec(50));  // "arrived before sent"
+    feed(lqe, ga, seq, send, send - usec(50));  // "arrived before sent"
   }
   EXPECT_GE(to_seconds(lqe.estimate().delay_mean), 0.0);
 }
@@ -109,6 +119,70 @@ TEST(LinkQualityEstimator, SampleCountTracksWindow) {
   feed_stream(lqe, 500, msec(10), 0.0, msec(1), 8);
   EXPECT_EQ(lqe.estimate().samples, 100u);
   EXPECT_EQ(lqe.heartbeats_seen(), 500u);
+}
+
+// The stream contract: a sender numbers each group's payloads on their own
+// counter, and one ALIVE may carry several. Loss is read per stream, so
+// heartbeats of groups this receiver is not sent never count as lost.
+
+TEST(LinkQualityEstimator, InterleavedContiguousStreamsStayAtTheFloor) {
+  link_quality_estimator::options opts;
+  link_quality_estimator lqe(opts);
+  // Stream A rides on every ALIVE, stream B (whose counter is far ahead:
+  // its group is older) on every third one.
+  time_point t = time_origin;
+  std::uint64_t b_seq = 7000;
+  for (std::uint64_t a_seq = 1; a_seq <= 3000; ++a_seq) {
+    t += msec(100);
+    lqe.on_heartbeat(t, t + usec(25));
+    lqe.on_sequence(ga, a_seq);
+    if (a_seq % 3 == 0) lqe.on_sequence(gb, ++b_seq);
+  }
+  EXPECT_DOUBLE_EQ(lqe.estimate().loss_probability, opts.loss_floor);
+  EXPECT_EQ(lqe.heartbeats_seen(), 3000u);
+}
+
+TEST(LinkQualityEstimator, StreamMissingEveryTenthSeqReadsTenPercent) {
+  link_quality_estimator lqe;
+  time_point t = time_origin;
+  for (std::uint64_t seq = 1; seq <= 5000; ++seq) {
+    t += msec(100);
+    if (seq % 10 == 0) continue;  // lost
+    feed(lqe, ga, seq, t, t + usec(25));
+  }
+  EXPECT_NEAR(lqe.estimate().loss_probability, 0.1, 0.01);
+}
+
+TEST(LinkQualityEstimator, DroppedStreamRestartingAtOneDoesNotInflateLoss) {
+  link_quality_estimator::options opts;
+  link_quality_estimator lqe(opts);
+  time_point t = time_origin;
+  for (std::uint64_t seq = 1001; seq <= 1100; ++seq) feed(lqe, ga, seq, t, t);
+  lqe.drop_stream(ga);
+  for (std::uint64_t seq = 1; seq <= 1000; ++seq) {
+    t += msec(100);
+    feed(lqe, ga, seq, t, t + usec(25));
+  }
+  EXPECT_DOUBLE_EQ(lqe.estimate().loss_probability, opts.loss_floor);
+}
+
+TEST(LinkQualityEstimator, ResetClearsEveryStream) {
+  link_quality_estimator::options opts;
+  link_quality_estimator lqe(opts);
+  // Two streams, each with a partial epoch far from where they resume.
+  time_point t = time_origin;
+  for (std::uint64_t seq = 1; seq <= 100; ++seq) {
+    feed(lqe, ga, seq + 5000, t, t);
+    lqe.on_sequence(gb, seq + 9000);
+  }
+  lqe.reset();
+  EXPECT_EQ(lqe.heartbeats_seen(), 0u);
+  for (std::uint64_t seq = 1; seq <= 1000; ++seq) {
+    t += msec(100);
+    feed(lqe, ga, seq, t, t + usec(25));
+    lqe.on_sequence(gb, seq);
+  }
+  EXPECT_DOUBLE_EQ(lqe.estimate().loss_probability, opts.loss_floor);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ TEST(SkewTolerantEstimator, HugeClockSkewDoesNotInflateDelay) {
   const duration skew = sec(3600);
   time_point now = time_origin + sec(10);
   for (std::uint64_t s = 1; s <= 100; ++s) {
-    est.on_heartbeat(s, now + skew, now + msec(5));
+    est.on_heartbeat(now + skew, now + msec(5));
     now += msec(250);
   }
   const auto e = est.estimate();
@@ -34,7 +34,7 @@ TEST(SkewTolerantEstimator, NegativeDifferencesHandled) {
   link_quality_estimator est(skewed_opts());
   time_point now = time_origin + sec(3600);
   for (std::uint64_t s = 1; s <= 100; ++s) {
-    est.on_heartbeat(s, now + sec(100), now + msec(2));
+    est.on_heartbeat(now + sec(100), now + msec(2));
     now += msec(250);
   }
   const auto e = est.estimate();
@@ -50,7 +50,7 @@ TEST(SkewTolerantEstimator, JitterEstimatedAboveFloor) {
   time_point now = time_origin;
   for (std::uint64_t s = 1; s <= 200; ++s) {
     const duration d = (s % 2 == 0) ? msec(21) : msec(1);
-    est.on_heartbeat(s, now + skew, now + d);
+    est.on_heartbeat(now + skew, now + d);
     now += msec(250);
   }
   const auto e = est.estimate();
@@ -67,7 +67,8 @@ TEST(SkewTolerantEstimator, LossEstimationUnaffectedBySkew) {
   for (int i = 0; i < 1000; ++i) {
     ++seq;
     if (r.bernoulli(0.2)) continue;  // dropped
-    est.on_heartbeat(seq, now + skew, now + msec(1));
+    est.on_heartbeat(now + skew, now + msec(1));
+    est.on_sequence(group_id{1}, seq);
     now += msec(100);
   }
   const auto e = est.estimate();
@@ -85,8 +86,8 @@ TEST(SkewTolerantEstimator, MatchesSynchronizedModeUpToTheFloor) {
   for (std::uint64_t s = 1; s <= 256; ++s) {
     const double d = r.exponential(0.010);
     min_delay = std::min(min_delay, d);
-    sync_est.on_heartbeat(s, now, now + from_seconds(d));
-    skew_est.on_heartbeat(s, now, now + from_seconds(d));
+    sync_est.on_heartbeat(now, now + from_seconds(d));
+    skew_est.on_heartbeat(now, now + from_seconds(d));
     now += msec(250);
   }
   const auto sync_e = sync_est.estimate();
@@ -99,7 +100,7 @@ TEST(SkewTolerantEstimator, MatchesSynchronizedModeUpToTheFloor) {
 
 TEST(SkewTolerantEstimator, ResetClearsRawWindow) {
   link_quality_estimator est(skewed_opts());
-  est.on_heartbeat(1, time_origin, time_origin + msec(5));
+  est.on_heartbeat(time_origin, time_origin + msec(5));
   ASSERT_GT(est.estimate().samples, 0u);
   est.reset();
   EXPECT_EQ(est.estimate().samples, 0u);

@@ -20,9 +20,9 @@ namespace {
 template <typename Draw>
 link_estimate feed(link_quality_estimator& lqe, int n, Draw&& draw) {
   time_point send = time_origin;
-  for (int seq = 1; seq <= n; ++seq) {
+  for (int i = 0; i < n; ++i) {
     send += msec(100);
-    lqe.on_heartbeat(static_cast<std::uint64_t>(seq), send, send + draw());
+    lqe.on_heartbeat(send, send + draw());
   }
   return lqe.estimate();
 }

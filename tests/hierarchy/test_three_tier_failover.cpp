@@ -285,5 +285,46 @@ TEST(ThreeTierFailover, PartitionedRegionRejoinsWithoutDisturbingTheRest) {
   check_candidacy_invariants(exp);
 }
 
+TEST(ThreeTierFailover, KillLoopKeepsListenerLossAtFloor) {
+  // The global leader heartbeats its region on every tick, but a listener
+  // in another region only gets the ALIVEs that carry a zone or global
+  // payload. Counted over the sender's whole datagram stream, the others
+  // read as loss (up to 0.95 on this loss-free LAN), which drives the
+  // configurator into infeasible operating points that demote live
+  // leaders. Counted per (sender, group) stream, loss stays at the
+  // estimator's floor through a loop of global-leader kills and recoveries.
+  fd::qos_spec qos;
+  qos.detection_time = sec(1);
+  qos.mistake_recurrence = std::chrono::duration_cast<duration>(std::chrono::hours(2));
+  qos.query_accuracy = 0.9999;
+  for (const std::uint64_t seed : {29u, 30u, 31u}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    scenario sc = three_tier_sc(seed);
+    sc.hierarchy.scoped_hello = true;
+    sc.qos = qos;
+    sc.hierarchy.global_qos = qos;
+    experiment exp(sc);
+    auto& sim = exp.simulator();
+    sim.run_until(time_origin + sec(30));
+    exp.group().begin(sim.now());
+    for (int kill = 0; kill < 20; ++kill) {
+      sim.run_until(time_origin + sec(30) + msec(4500) * kill);
+      const auto leader = exp.group().agreed_leader();
+      ASSERT_TRUE(leader.has_value()) << "no agreed leader at kill " << kill;
+      const node_id victim{leader->value()};
+      for (std::uint32_t i = 0; i < kNodes; ++i) {
+        auto* svc = exp.node_service(node_id{i});
+        if (svc == nullptr || node_id{i} == victim) continue;
+        EXPECT_LE(svc->failure_detector().link_quality(victim).loss_probability, 0.02)
+            << "node " << i << " on leader " << victim.value() << " at kill " << kill;
+      }
+      exp.crash_node(victim);
+      sim.run_until(sim.now() + msec(1500));
+      exp.recover_node(victim);
+    }
+    EXPECT_EQ(exp.group().unjustified_demotions(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace omega::harness

@@ -189,10 +189,10 @@ TEST(EncodeShared, MatchesPlainEncodeByteForByte) {
   proto::alive_msg m;
   m.from = node_id{3};
   m.inc = 2;
-  m.seq = 41;
   m.eta = msec(100);
   m.groups.resize(1);
   m.groups[0].group = group_id{1};
+  m.groups[0].seq = 41;
   m.groups[0].pid = process_id{3};
   const proto::wire_message wm{m};
 

@@ -13,11 +13,11 @@ alive_msg sample_alive() {
   alive_msg m;
   m.from = node_id{3};
   m.inc = 7;
-  m.seq = 123456789;
   m.send_time = time_origin + msec(1500);
   m.eta = msec(250);
   group_payload g;
   g.group = group_id{1};
+  g.seq = 123456789;
   g.pid = process_id{3};
   g.candidate = true;
   g.competing = true;
@@ -42,12 +42,36 @@ TEST(Wire, AliveMultipleGroupsRoundTrip) {
   alive_msg m = sample_alive();
   group_payload g2 = m.groups[0];
   g2.group = group_id{2};
+  g2.seq = 5;  // each payload numbers its own group's stream
   g2.competing = false;
   g2.local_leader = process_id::invalid();
   m.groups.push_back(g2);
   const auto decoded = decode(encode(wire_message{m}));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(std::get<alive_msg>(*decoded), m);
+  const auto& out = std::get<alive_msg>(*decoded);
+  EXPECT_EQ(out, m);
+  ASSERT_EQ(out.groups.size(), 2u);
+  EXPECT_EQ(out.groups[0].seq, 123456789u);
+  EXPECT_EQ(out.groups[1].seq, 5u);
+}
+
+TEST(Wire, AliveLengthKeepsOnePayloadAndAddsEightBytesPerExtraPayload) {
+  // Before payloads carried their own counter, an ALIVE was a 70-byte
+  // one-payload datagram plus 34 bytes per extra payload, with one 8-byte
+  // node-level counter in the header. The counter moved into the payload:
+  // a one-payload ALIVE (every single-group deployment) keeps its length,
+  // and each extra payload costs exactly 8 more bytes than it used to.
+  constexpr std::size_t one_payload = 70;
+  constexpr std::size_t old_extra_payload = 34;
+  alive_msg m = sample_alive();
+  EXPECT_EQ(encode(wire_message{m}).size(), one_payload);
+  for (std::size_t extra = 1; extra <= 3; ++extra) {
+    group_payload g = m.groups[0];
+    g.group = group_id{static_cast<std::uint32_t>(10 + extra)};
+    m.groups.push_back(g);
+    EXPECT_EQ(encode(wire_message{m}).size(),
+              one_payload + extra * (old_extra_payload + 8));
+  }
 }
 
 TEST(Wire, AliveEmptyGroupsRoundTrip) {

@@ -94,11 +94,11 @@ TEST(WireCausal, DecodeIntoRoundTripsStampedAlive) {
   alive_msg m;
   m.from = node_id{1};
   m.inc = 3;
-  m.seq = 42;
   m.send_time = time_origin + sec(2);
   m.eta = msec(100);
   group_payload g;
   g.group = group_id{1};
+  g.seq = 42;
   g.pid = process_id{1};
   g.candidate = true;
   m.groups.push_back(g);

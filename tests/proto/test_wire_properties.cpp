@@ -17,6 +17,7 @@ time_point random_time(rng& r) {
 group_payload random_payload(rng& r) {
   group_payload p;
   p.group = group_id{static_cast<std::uint32_t>(r.uniform_below(1u << 16))};
+  p.seq = r.uniform_below(1ull << 50);
   p.pid = process_id{static_cast<std::uint32_t>(r.uniform_below(1u << 16))};
   p.candidate = r.bernoulli(0.5);
   p.competing = r.bernoulli(0.5);
@@ -34,7 +35,6 @@ TEST_P(WireProperty, AliveRoundTripsExactly) {
   alive_msg msg;
   msg.from = node_id{static_cast<std::uint32_t>(r.uniform_below(1u << 10))};
   msg.inc = static_cast<incarnation>(r.uniform_below(1u << 20));
-  msg.seq = r.uniform_below(1ull << 50);
   msg.send_time = random_time(r);
   msg.eta = usec(static_cast<std::int64_t>(r.uniform_below(10'000'000)));
   const std::size_t n_groups = r.uniform_below(5);
@@ -109,7 +109,6 @@ TEST_P(WireProperty, TruncationAtEveryLengthRejectedOrValid) {
   alive_msg msg;
   msg.from = node_id{1};
   msg.inc = 2;
-  msg.seq = 3;
   msg.send_time = random_time(r);
   msg.eta = msec(250);
   msg.groups.push_back(random_payload(r));

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "net/sim_network.hpp"
+#include "proto/wire.hpp"
 #include "service/service.hpp"
 #include "sim/simulator.hpp"
 
@@ -239,6 +240,54 @@ TEST(ServiceApi, EtaRespondsToQoS) {
   loose.settle(sec(60));
   tight.settle(sec(60));
   EXPECT_LT(tight.at(0).current_eta(), loose.at(0).current_eta());
+}
+
+TEST(ServiceApi, FasterRateRequestNeverPostponesThePendingHeartbeat) {
+  // A RATE_REQ for a faster rate can arrive when the new interval has
+  // already elapsed since the last ALIVE. Re-arming one new interval from
+  // now would push the heartbeat past the one already pending, and a steady
+  // stream of such requests would silence the sender until every monitor
+  // suspected it at once.
+  cluster c(3);
+  for (std::size_t i = 0; i < 2; ++i) {
+    c.at(i).register_process(process_id{i});
+    c.at(i).join_group(process_id{i}, g1, {});
+  }
+  c.settle(sec(10));
+  const duration announced = c.at(0).current_eta();
+  const duration faster = announced / 2;
+
+  // Step (in 1 ms steps, the resolution of every time below) to one of
+  // node 0's ALIVEs, then three quarters of the announced interval on:
+  // past the faster interval, before the pending heartbeat.
+  std::uint64_t sent = c.at(0).stats().alive_sent;
+  while (c.at(0).stats().alive_sent == sent) c.sim.run_until(c.sim.now() + msec(1));
+  sent = c.at(0).stats().alive_sent;
+  time_point last_alive = c.sim.now();
+  c.sim.run_until(c.sim.now() + announced * 3 / 4);
+
+  // Node 2 (in the roster, in no group) asks for `faster` twice per
+  // `faster`; node 0 must keep heartbeating within its announced interval.
+  net::transport& requester = c.net.endpoint(node_id{2});
+  const proto::wire_message request{proto::rate_request_msg{node_id{2}, 0, faster}};
+  const time_point start = c.sim.now();
+  duration longest_gap{0};
+  time_point next_request = start;
+  while (c.sim.now() < start + sec(5)) {
+    if (c.sim.now() >= next_request) {
+      requester.send(node_id{0}, proto::encode_shared(request, requester.pool()));
+      next_request += faster / 2;
+    }
+    c.sim.run_until(c.sim.now() + msec(1));
+    if (c.at(0).stats().alive_sent != sent) {
+      sent = c.at(0).stats().alive_sent;
+      longest_gap = std::max(longest_gap, c.sim.now() - last_alive);
+      last_alive = c.sim.now();
+    }
+  }
+  longest_gap = std::max(longest_gap, c.sim.now() - last_alive);
+  EXPECT_LE(longest_gap, announced + msec(1)) << "rate requests silenced node 0";
+  EXPECT_EQ(c.at(0).current_eta(), faster);
 }
 
 TEST(ServiceApi, StatsCountTraffic) {
