@@ -191,5 +191,56 @@ TEST(GoldenTrace, AdaptiveRunMatchesPinnedFingerprint) {
       << "two adaptive runs of the same seed differ";
 }
 
+// Fourth fingerprint: the adaptive mode on a three-tier hierarchy. The run
+// above tunes interactive groups only; here the zone and global tiers join
+// as the background class, so the paper's cheapest-point solver and the
+// tuner's rate budget are pinned as well. 18 nodes in 6 regions under 3
+// zones, LAN, one global-leader failover.
+scenario adaptive_three_tier_golden_scenario() {
+  scenario sc;
+  sc.name = "golden-adaptive-three-tier-18";
+  sc.nodes = 18;
+  sc.alg = election::algorithm::omega_lc;
+  sc.qos.detection_time = sec(1);
+  sc.qos.mistake_recurrence =
+      std::chrono::duration_cast<omega::duration>(std::chrono::hours(2));
+  sc.qos.query_accuracy = 0.9999;
+  sc.links = net::link_profile::lan();
+  sc.churn = churn_profile::none();
+  sc.hierarchy = hierarchy_profile::three_tier(6, 3);
+  sc.hierarchy.global_qos = sc.qos;
+  sc.adaptive.mode = adaptive::tuning_mode::adaptive;
+  sc.trace = true;
+  sc.warmup = sec(30);
+  sc.seed = 7;
+  return sc;
+}
+
+std::string run_adaptive_three_tier_golden_trace() {
+  experiment exp(adaptive_three_tier_golden_scenario());
+  auto& sim = exp.simulator();
+  sim.run_until(time_origin + sec(120));
+  fail_over_leader(exp);
+  sim.run_until(sim.now() + sec(60));
+  return obs::render_jsonl(exp.merged_trace());
+}
+
+constexpr std::uint64_t kGoldenAdaptiveThreeTierHash = 0xd8561b2738b3be5eull;
+constexpr std::size_t kGoldenAdaptiveThreeTierBytes = 258783;
+
+TEST(GoldenTrace, AdaptiveThreeTierRunMatchesPinnedFingerprint) {
+  const std::string jsonl = run_adaptive_three_tier_golden_trace();
+  EXPECT_NE(jsonl.find("\"retune\""), std::string::npos)
+      << "the adaptive run must trace the engine's retune events";
+  EXPECT_EQ(fnv1a(jsonl), kGoldenAdaptiveThreeTierHash)
+      << "adaptive three-tier trace fingerprint drifted\n"
+      << "  bytes: " << jsonl.size() << " (golden "
+      << kGoldenAdaptiveThreeTierBytes << ")\n  hash: 0x" << std::hex
+      << fnv1a(jsonl) << " (golden 0x" << kGoldenAdaptiveThreeTierHash
+      << ")\nFirst lines:\n"
+      << jsonl.substr(0, 400);
+  EXPECT_EQ(jsonl.size(), kGoldenAdaptiveThreeTierBytes);
+}
+
 }  // namespace
 }  // namespace omega::harness
