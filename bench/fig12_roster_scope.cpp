@@ -4,7 +4,7 @@
 // fig11 showed the two-tier hierarchy collapses ALIVE fan-out from O(n^2)
 // to ~O(n); after that, the cluster-wide HELLO anti-entropy broadcast is
 // the dominant per-node cost: every node still gossips membership to all n
-// peers every `hello_interval`, though it shares groups with only a
+// peers every HELLO interval (2 s), though it shares groups with only a
 // handful of them. `membership::hello_fanout::roster` scopes each HELLO
 // (and LEAVE) to the per-group rosters — candidates to the whole group
 // roster, listeners to the candidate hosts — with a round-robin discovery

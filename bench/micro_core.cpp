@@ -26,7 +26,7 @@ void BM_ConfiguratorFeasible(benchmark::State& state) {
   link.delay_stddev = msec(100);
   link.samples = 1000;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fd::configure(qos, link, {}));
+    benchmark::DoNotOptimize(fd::configure(qos, link));
   }
 }
 BENCHMARK(BM_ConfiguratorFeasible);
@@ -40,7 +40,7 @@ void BM_ConfiguratorInfeasible(benchmark::State& state) {
   link.delay_stddev = msec(100);
   link.samples = 1000;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fd::configure(qos, link, {}));
+    benchmark::DoNotOptimize(fd::configure(qos, link));
   }
 }
 BENCHMARK(BM_ConfiguratorInfeasible);

@@ -20,7 +20,6 @@ engine::engine(clock_source& clock, timer_service& timers, fd::fd_manager& fd,
     : clock_(clock),
       fd_(fd),
       opts_(opts),
-      tracker_(opts.tracker),
       tick_timer_(timers) {}
 
 engine::~engine() { stop(); }
@@ -28,7 +27,7 @@ engine::~engine() { stop(); }
 void engine::start() {
   if (running_) return;
   running_ = true;
-  tick_timer_.arm_after(opts_.tick_interval, [this] { tick(); });
+  tick_timer_.arm_after(kTickInterval, [this] { tick(); });
 }
 
 void engine::stop() {
@@ -38,7 +37,7 @@ void engine::stop() {
 
 void engine::add_group(group_id group, const fd::qos_spec& qos,
                        qos_class cls) {
-  retuners_[group] = std::make_unique<retuner>(qos, cls, opts_.retuner);
+  retuners_[group] = std::make_unique<retuner>(qos, cls);
   // Pin the cold-start point as the group default immediately: until the
   // tracker has confident estimates the adaptive instance behaves exactly
   // like the frozen one (and like the continuous one, whose configurator
@@ -114,7 +113,7 @@ void engine::tick() {
     }
     // Per-link refinements from each peer's own tracked window.
     for (const auto& [peer, est] : peers) {
-      if (!est || est->samples < opts_.tracker.confidence_floor) {
+      if (!est || est->samples < fd::kMinSamples) {
         // Stale or unknown link: drop the refinement so the conservative
         // group default applies again (and damping restarts on return).
         if (rt->has_peer(peer)) {
@@ -139,7 +138,7 @@ void engine::tick() {
   }
 
   if (running_) {
-    tick_timer_.arm_after(opts_.tick_interval, [this] { tick(); });
+    tick_timer_.arm_after(kTickInterval, [this] { tick(); });
   }
 }
 

@@ -54,19 +54,18 @@ enum class tuning_mode {
 
 struct engine_options {
   tuning_mode mode = tuning_mode::continuous;
-  /// How often the engine re-reads the tracker and consults the retuners.
-  duration tick_interval = sec(2);
   /// Emit per-(group, remote) refinements from each peer's own tracked
   /// window on top of the aggregate-solved group default. Off = the
   /// group-global behaviour (one cluster quantile drives every link),
   /// kept as the baseline `bench/fig10_perlink` compares against.
   bool per_link = true;
-  link_tracker::options tracker{};
-  retuner_options retuner{};
 };
 
 class engine {
  public:
+  /// How often the engine re-reads the tracker and consults the retuners.
+  static constexpr duration kTickInterval = sec(2);
+
   engine(clock_source& clock, timer_service& timers, fd::fd_manager& fd,
          engine_options opts);
   ~engine();

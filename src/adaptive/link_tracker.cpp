@@ -12,7 +12,7 @@ void link_tracker::observe(node_id peer, const fd::link_estimate& est,
   // *prior* (default loss) rather than measurement; recording them would
   // bleed the prior into the smoothing window and walk the blended loss
   // through quantization cells as they age out — thrash, not signal.
-  if (est.samples < opts_.confidence_floor) return;
+  if (est.samples < fd::kMinSamples) return;
   peer_record& rec = peers_[peer];
   rec.window.push_back(snapshot{now, est});
   prune(rec, now);
@@ -27,13 +27,11 @@ std::vector<node_id> link_tracker::peers() const {
   return out;
 }
 
-void link_tracker::clear() { peers_.clear(); }
-
 void link_tracker::prune(peer_record& rec, time_point now) const {
-  while (rec.window.size() > opts_.max_snapshots) rec.window.pop_front();
+  while (rec.window.size() > kMaxSnapshots) rec.window.pop_front();
   // Keep the newest snapshot unconditionally: silence must decay confidence
   // via `blend`, not erase the link.
-  while (rec.window.size() > 1 && rec.window.front().at + opts_.window < now) {
+  while (rec.window.size() > 1 && rec.window.front().at + kWindow < now) {
     rec.window.pop_front();
   }
 }
@@ -47,7 +45,7 @@ fd::link_estimate link_tracker::blend(const peer_record& rec,
   double stddev = 0.0;
   std::size_t counted = 0;
   for (const snapshot& s : rec.window) {
-    if (s.at + opts_.window < now) continue;
+    if (s.at + kWindow < now) continue;
     loss += s.est.loss_probability;
     delay += to_seconds(s.est.delay_mean);
     stddev += to_seconds(s.est.delay_stddev);
@@ -62,13 +60,13 @@ fd::link_estimate link_tracker::blend(const peer_record& rec,
     out.delay_stddev = from_seconds(stddev / n);
   }
 
-  // Staleness decay: confidence halves (by default) per `stale_after` of
-  // silence beyond the first grace period.
+  // Staleness decay: confidence halves per `kStaleAfter` of silence beyond
+  // the first grace period.
   const duration age = now - newest.at;
-  if (age > opts_.stale_after && opts_.stale_after > duration{0}) {
+  if (age > kStaleAfter) {
     const double periods =
-        to_seconds(age - opts_.stale_after) / to_seconds(opts_.stale_after);
-    const double factor = std::pow(opts_.stale_decay, periods);
+        to_seconds(age - kStaleAfter) / to_seconds(kStaleAfter);
+    const double factor = std::pow(kStaleDecay, periods);
     out.samples = static_cast<std::size_t>(
         static_cast<double>(newest.est.samples) * factor);
   }
@@ -90,7 +88,7 @@ fd::link_estimate link_tracker::aggregate(time_point now) const {
   for (const auto& [peer, rec] : peers_) {
     if (rec.window.empty()) continue;
     const fd::link_estimate est = blend(rec, now);
-    if (est.samples < opts_.confidence_floor) continue;
+    if (est.samples < fd::kMinSamples) continue;
     losses.push_back(est.loss_probability);
     delays.push_back(to_seconds(est.delay_mean));
     stddevs.push_back(to_seconds(est.delay_stddev));
@@ -105,10 +103,9 @@ fd::link_estimate link_tracker::aggregate(time_point now) const {
   agg.samples = 0;
   if (losses.empty()) return agg;
 
-  const double q = std::clamp(opts_.aggregate_quantile, 0.0, 1.0);
-  const auto at_quantile = [&](std::vector<double>& v) {
+  const auto at_quantile = [](std::vector<double>& v) {
     const auto idx = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(v.size() - 1)));
+        std::ceil(kAggregateQuantile * static_cast<double>(v.size() - 1)));
     std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx),
                      v.end());
     return v[idx];
@@ -118,26 +115,6 @@ fd::link_estimate link_tracker::aggregate(time_point now) const {
   agg.delay_stddev = from_seconds(at_quantile(stddevs));
   agg.samples = min_samples;
   return agg;
-}
-
-duration link_tracker::delay_trend_stddev(node_id peer, time_point now) const {
-  auto it = peers_.find(peer);
-  if (it == peers_.end() || it->second.window.empty()) return duration{0};
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  std::size_t n = 0;
-  for (const snapshot& s : it->second.window) {
-    if (s.at + opts_.window < now) continue;
-    const double d = to_seconds(s.est.delay_mean);
-    sum += d;
-    sum_sq += d * d;
-    ++n;
-  }
-  if (n < 2) return duration{0};
-  const double mean = sum / static_cast<double>(n);
-  const double var =
-      std::max(0.0, sum_sq / static_cast<double>(n) - mean * mean);
-  return from_seconds(std::sqrt(var));
 }
 
 }  // namespace omega::adaptive

@@ -10,12 +10,14 @@
 //    estimate of *decaying confidence*. Confidence is expressed through the
 //    `samples` field of the returned `fd::link_estimate`: it shrinks
 //    geometrically with silence, and once it falls below the configurator's
-//    `min_samples` the solver automatically falls back to the conservative
-//    cold-start operating point. Staleness therefore degrades gracefully
-//    into "we do not know this link anymore" without a separate code path;
-//  * a cluster *aggregate*: the element-wise worst link among peers with
-//    live confidence. Group-wide heartbeat parameters must satisfy the QoS
-//    on every monitored link, so the binding constraint is the worst one.
+//    `fd::kMinSamples` the solver automatically falls back to the
+//    conservative cold-start operating point. Staleness therefore degrades
+//    gracefully into "we do not know this link anymore" without a separate
+//    code path;
+//  * a cluster *aggregate*: a high per-field quantile, next to the worst
+//    link, among peers with live confidence. Group-wide heartbeat
+//    parameters must satisfy the QoS on every monitored link, so the
+//    binding constraint is the worst one.
 #pragma once
 
 #include <deque>
@@ -25,50 +27,38 @@
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
+#include "fd/configurator.hpp"
 #include "fd/qos.hpp"
 
 namespace omega::adaptive {
 
 class link_tracker {
  public:
-  struct options {
-    /// Snapshots older than this are dropped from the smoothing window
-    /// (the newest snapshot is always kept so silence decays confidence
-    /// instead of erasing the link outright).
-    duration window = sec(30);
-    /// Hard cap on snapshots retained per peer.
-    std::size_t max_snapshots = 64;
-    /// Age at which confidence starts decaying.
-    duration stale_after = sec(10);
-    /// Multiplier applied to the sample count per `stale_after` of silence
-    /// beyond the first.
-    double stale_decay = 0.5;
-    /// Peers whose (decayed) sample count is below this do not contribute
-    /// to the aggregate: a peer that just (re)appeared or went silent has
-    /// nothing trustworthy to say about the network, and letting it drag
-    /// the aggregate's confidence down would flip every retuner to the
-    /// cold-start point on each churn event. Matches the configurator's
-    /// default `min_samples`.
-    std::size_t confidence_floor = 16;
-    /// Which per-peer quantile the aggregate reports for loss/delay.
-    /// 1.0 = strict worst link. The default 0.9 (second-worst in a
-    /// 12-node cluster) is robust: one peer's estimator excursion — a
-    /// 2-sigma loss epoch happens somewhere in the cluster every few
-    /// minutes — cannot move the group operating point on its own.
-    double aggregate_quantile = 0.9;
-  };
-
-  link_tracker() : link_tracker(options{}) {}
-  explicit link_tracker(options opts) : opts_(opts) {}
+  /// Snapshots older than this are dropped from the smoothing window
+  /// (the newest snapshot is always kept so silence decays confidence
+  /// instead of erasing the link outright).
+  static constexpr duration kWindow = sec(30);
+  /// Hard cap on snapshots retained per peer.
+  static constexpr std::size_t kMaxSnapshots = 64;
+  /// Age at which confidence starts decaying.
+  static constexpr duration kStaleAfter = sec(10);
+  /// Multiplier applied to the sample count per `kStaleAfter` of silence
+  /// beyond the first.
+  static constexpr double kStaleDecay = 0.5;
+  /// Which per-peer quantile the aggregate reports for loss/delay. Below 1
+  /// (the strict worst link) it is robust: 0.9 is the second-worst link in
+  /// a 12-node cluster, so one peer's estimator excursion — a 2-sigma loss
+  /// epoch happens somewhere in the cluster every few minutes — cannot move
+  /// the group operating point on its own.
+  static constexpr double kAggregateQuantile = 0.9;
 
   /// Feeds one estimator snapshot for `peer` taken at `now`. Snapshots
-  /// below the confidence floor are ignored (they reflect the estimator's
-  /// prior, not the link).
+  /// below the confidence floor `fd::kMinSamples` are ignored (they reflect
+  /// the estimator's prior, not the link).
   void observe(node_id peer, const fd::link_estimate& est, time_point now);
 
   /// Drops all state for one peer (it left or its node is known dead).
   void forget(node_id peer);
-  void clear();
 
   /// Smoothed estimate for one peer with staleness-decayed confidence, or
   /// nullopt if the peer was never observed.
@@ -76,18 +66,15 @@ class link_tracker {
                                                          time_point now) const;
 
   /// Binding estimate for a group-wide operating point: the per-field
-  /// `aggregate_quantile` of loss / delay mean / delay stddev across
-  /// confident peers (1.0 = strict element-wise worst link; the default
-  /// 0.9 is robust to a single peer's estimator excursion at the price of
-  /// ignoring the one worst link), with the min (decayed) sample count as
-  /// confidence. Returns a zero-sample estimate when no confident peer
-  /// exists.
+  /// `kAggregateQuantile` of loss / delay mean / delay stddev across
+  /// confident peers, with the min (decayed) sample count as confidence.
+  /// Returns a zero-sample estimate when no confident peer exists. A peer
+  /// whose decayed sample count is below `fd::kMinSamples` is not
+  /// confident: one that just (re)appeared or went silent has nothing
+  /// trustworthy to say about the network, and letting it drag the
+  /// aggregate's confidence down would flip every retuner to the
+  /// cold-start point on each churn event.
   [[nodiscard]] fd::link_estimate aggregate(time_point now) const;
-
-  /// Delay jitter across the smoothing window: the standard deviation of
-  /// the windowed delay-mean snapshots (route flapping shows up here long
-  /// before the per-heartbeat stddev moves).
-  [[nodiscard]] duration delay_trend_stddev(node_id peer, time_point now) const;
 
   [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
 
@@ -108,7 +95,6 @@ class link_tracker {
   [[nodiscard]] fd::link_estimate blend(const peer_record& rec,
                                         time_point now) const;
 
-  options opts_;
   std::unordered_map<node_id, peer_record> peers_;
 };
 

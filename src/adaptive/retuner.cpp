@@ -8,30 +8,12 @@ namespace omega::adaptive {
 
 namespace {
 
-/// The shared QoS-constraint predicate, with this solver's option plumbing.
-/// `effective_tail` honours `auto_tail`: with it on, the estimator's
-/// per-link tail verdict replaces the static model here too, so the
-/// adaptive engine's operating points stop mis-modeling heavy tails.
-bool feasible_point(const fd::qos_spec& qos, const fd::link_estimate& link,
-                    const fd::configurator_options& copts, double eta_s,
-                    double delta_s, double margin) {
-  return fd::qos_constraints_hold(qos, link, fd::effective_tail(link, copts),
-                                  eta_s, delta_s, margin);
-}
-
 fd::fd_params solve_min_detection(const fd::qos_spec& qos,
-                                  const fd::link_estimate& link,
-                                  const retuner_options& opts) {
+                                  const fd::link_estimate& link) {
   const double total = to_seconds(qos.detection_time);
-  // The budget is a floor on eta, but eta must leave room for a positive
-  // delta within the detection bound: clamp a misconfigured budget.
-  const double budget =
-      std::clamp(opts.eta_budget > duration{0} ? to_seconds(opts.eta_budget)
-                                               : total / 4.0,
-                 0.0, 0.9 * total);
+  // The rate budget: eta never drops below the cold-start rate T^U_D / 4.
+  const double budget = total / 4.0;
   const double eta_max = std::max(budget, total / 2.0);
-  const int eta_steps = std::max(opts.eta_steps, 1);
-  const int delta_steps = std::max(opts.delta_steps, 4);
 
   std::optional<fd::fd_params> best;
   double best_latency = std::numeric_limits<double>::infinity();
@@ -41,16 +23,16 @@ fd::fd_params solve_min_detection(const fd::qos_spec& qos,
   // feasible delta is the smallest, and latency delta + eta/2 then only
   // grows with eta unless larger eta admits no smaller delta, so we still
   // scan all eta values (the search space is tiny).
-  for (int i = 0; i <= eta_steps; ++i) {
+  for (int i = 0; i <= retuner::kEtaSteps; ++i) {
     const double eta = budget + (eta_max - budget) * static_cast<double>(i) /
-                                    static_cast<double>(eta_steps);
+                                    static_cast<double>(retuner::kEtaSteps);
     if (eta <= 0.0 || eta >= total) continue;
     const double delta_max = total - eta;
-    for (int j = 1; j <= delta_steps; ++j) {
-      const double delta =
-          delta_max * static_cast<double>(j) / static_cast<double>(delta_steps);
-      if (!feasible_point(qos, link, opts.configurator, eta, delta,
-                          opts.adopt_margin)) {
+    for (int j = 1; j <= retuner::kDeltaSteps; ++j) {
+      const double delta = delta_max * static_cast<double>(j) /
+                           static_cast<double>(retuner::kDeltaSteps);
+      if (!fd::qos_constraints_hold(qos, link, eta, delta,
+                                    retuner::kAdoptMargin)) {
         continue;
       }
       const double latency = delta + eta / 2.0;
@@ -63,14 +45,24 @@ fd::fd_params solve_min_detection(const fd::qos_spec& qos,
     }
   }
   if (best) return *best;
-  // Nothing within the rate budget can hold the QoS on this link: see
-  // retuner_options::rate_cap_hard for the policy choice. The clamped
-  // budget keeps the fallback delta non-negative.
-  if (opts.rate_cap_hard) {
-    const duration eta_d = from_seconds(budget);
-    return fd::fd_params{eta_d, qos.detection_time - eta_d, false};
-  }
-  return fd::configure(qos, link, opts.configurator);
+  // Nothing within the rate budget can hold the QoS on this link: hold the
+  // line on cost (see the header comment).
+  const duration eta_d = from_seconds(budget);
+  return fd::fd_params{eta_d, qos.detection_time - eta_d, false};
+}
+
+/// True when `candidate` moved outside the dead band around `current` (or
+/// flipped its feasibility verdict).
+bool outside_dead_band(const fd::fd_params& current,
+                       const fd::fd_params& candidate) {
+  if (candidate.qos_feasible != current.qos_feasible) return true;
+  const double eta_cur = std::max(to_seconds(current.eta), 1e-9);
+  const double delta_cur = std::max(to_seconds(current.delta), 1e-9);
+  const double eta_rel =
+      std::abs(to_seconds(candidate.eta) - eta_cur) / eta_cur;
+  const double delta_rel =
+      std::abs(to_seconds(candidate.delta) - delta_cur) / delta_cur;
+  return eta_rel > retuner::kEtaBand || delta_rel > retuner::kDeltaBand;
 }
 
 /// Smallest value of the geometric grid {base * step^n} that is >= x.
@@ -80,8 +72,8 @@ double round_up_geometric(double x, double base, double step) {
   return base * std::pow(step, n);
 }
 
-/// Conservative coarse quantization of a link estimate (see
-/// retuner_options::quantize_inputs).
+/// Conservative coarse quantization of a link estimate (see the header
+/// comment).
 fd::link_estimate quantize(const fd::link_estimate& link) {
   fd::link_estimate q = link;
   // Loss: round up onto a 1-2-5 decade grid, floored at the estimator's
@@ -108,31 +100,23 @@ fd::link_estimate quantize(const fd::link_estimate& link) {
 }  // namespace
 
 fd::fd_params retuner::solve(const fd::qos_spec& qos,
-                             const fd::link_estimate& raw_link,
-                             const retuner_options& opts) {
-  if (raw_link.samples < opts.configurator.min_samples) {
-    return fd::cold_start_params(qos);
-  }
-  const fd::link_estimate link =
-      opts.quantize_inputs ? quantize(raw_link) : raw_link;
-  switch (opts.objective) {
-    case tuning_objective::paper_max_eta:
-      return fd::configure(qos, link, opts.configurator);
-    case tuning_objective::min_detection:
-      return solve_min_detection(qos, link, opts);
+                             const fd::link_estimate& raw_link, qos_class cls) {
+  if (raw_link.samples < fd::kMinSamples) return fd::cold_start_params(qos);
+  const fd::link_estimate link = quantize(raw_link);
+  switch (cls) {
+    case qos_class::interactive: return solve_min_detection(qos, link);
+    case qos_class::background: return fd::configure(qos, link);
   }
   return fd::cold_start_params(qos);
 }
 
 bool retuner::point_feasible(const fd::qos_spec& qos,
                              const fd::link_estimate& raw_link,
-                             const fd::fd_params& params,
-                             const retuner_options& opts, double margin) {
-  if (raw_link.samples < opts.configurator.min_samples) return true;
-  const fd::link_estimate link =
-      opts.quantize_inputs ? quantize(raw_link) : raw_link;
-  return feasible_point(qos, link, opts.configurator, to_seconds(params.eta),
-                        to_seconds(params.delta), margin);
+                             const fd::fd_params& params, double margin) {
+  if (raw_link.samples < fd::kMinSamples) return true;
+  return fd::qos_constraints_hold(qos, quantize(raw_link),
+                                  to_seconds(params.eta),
+                                  to_seconds(params.delta), margin);
 }
 
 std::string_view to_string(qos_class cls) {
@@ -143,42 +127,24 @@ std::string_view to_string(qos_class cls) {
   return "unknown";
 }
 
-retuner::retuner(fd::qos_spec qos, qos_class cls, retuner_options opts)
-    : qos_(qos), class_(cls), opts_(opts) {
-  // The class selects the objective; `background` is exactly the paper's
-  // cheapest-point solver (largest feasible eta == minimum heartbeat rate).
-  if (class_ == qos_class::background) {
-    opts_.objective = tuning_objective::paper_max_eta;
-  }
+retuner::retuner(fd::qos_spec qos, qos_class cls) : qos_(qos), class_(cls) {
   group_.current = fd::cold_start_params(qos);
-}
-
-bool retuner::outside_dead_band(const fd::fd_params& current,
-                                const fd::fd_params& candidate) const {
-  if (candidate.qos_feasible != current.qos_feasible) return true;
-  const double eta_cur = std::max(to_seconds(current.eta), 1e-9);
-  const double delta_cur = std::max(to_seconds(current.delta), 1e-9);
-  const double eta_rel =
-      std::abs(to_seconds(candidate.eta) - eta_cur) / eta_cur;
-  const double delta_rel =
-      std::abs(to_seconds(candidate.delta) - delta_cur) / delta_cur;
-  return eta_rel > opts_.eta_band || delta_rel > opts_.delta_band;
 }
 
 std::optional<fd::fd_params> retuner::evaluate_damped(
     damped_state& state, const fd::link_estimate& link, time_point now) {
   // Dwell gate first: inside the dwell window the current point stands no
   // matter what the estimates claim. This is the oscillation bound.
-  if (state.adopted_once && now < state.last_retune + opts_.min_dwell) {
+  if (state.adopted_once && now < state.last_retune + kMinDwell) {
     return std::nullopt;
   }
-  const fd::fd_params candidate = solve(qos_, link, opts_);
+  const fd::fd_params candidate = solve(qos_, link, class_);
   // A current point that claims QoS feasibility but no longer delivers it
   // under the latest estimate is stale: the dead band must not keep it.
-  // Judged with the lenient margin (Schmitt trigger, see retuner_options).
+  // Judged with the lenient margin (Schmitt trigger, see kKeepMargin).
   const bool current_broken =
       state.current.qos_feasible &&
-      !point_feasible(qos_, link, state.current, opts_, opts_.keep_margin);
+      !point_feasible(qos_, link, state.current, kKeepMargin);
   if (state.adopted_once && !current_broken &&
       !outside_dead_band(state.current, candidate)) {
     return std::nullopt;

@@ -7,25 +7,32 @@
 // NFD-S is E[T_D] ~ delta + eta/2, so a smaller feasible delta means
 // strictly faster detection at the same heartbeat rate.
 //
-// The retuner therefore supports two objectives:
+// The retuner therefore solves one of two objectives, chosen by the group's
+// *QoS class* (`qos_class`):
 //
-//   paper_max_eta  — the original grid search (fd::configure): largest eta
-//                    with delta = T^U_D - eta meeting E[T_MR] and P_A.
-//   min_detection  — minimize delta + eta/2 subject to the same mistake-
-//                    recurrence and accuracy constraints, the detection
-//                    bound eta + delta <= T^U_D, and a heartbeat *rate
-//                    budget* eta >= eta_budget, so adapting never sends
-//                    faster than the static configuration it replaces.
-//                    When no point within the budget is feasible (the link
-//                    degraded beyond what the budget can monitor), it falls
-//                    back to the paper solver: accuracy wins over cost, the
-//                    same priority the paper gives it.
+//   interactive — minimize expected detection latency delta + eta/2 subject
+//                 to the same mistake-recurrence and accuracy constraints,
+//                 the detection bound eta + delta <= T^U_D, and a heartbeat
+//                 *rate budget* eta >= T^U_D / 4 (the cold-start rate), so
+//                 adapting never sends faster than the static configuration
+//                 it replaces. When no point within the budget holds the QoS
+//                 (the link degraded beyond what the budget can monitor),
+//                 eta stays at the budget, delta stretches to the rest of
+//                 the detection window (the best recurrence the budget
+//                 buys) and the point is marked infeasible, mirroring the
+//                 paper's best-effort caveat. The sending rate is therefore
+//                 provably capped, which also stops transient estimate
+//                 spikes from pinning peers to a fast rate through the 60 s
+//                 RATE_REQ expiry.
+//   background  — minimize heartbeat rate: the paper's cheapest-point solver
+//                 (fd::configure), largest eta with delta = T^U_D - eta
+//                 meeting E[T_MR] and P_A.
 //
-// Groups choose between the objectives through their *QoS class*
-// (`qos_class`): an `interactive` group minimizes expected detection
-// latency (min_detection), a `background` group minimizes heartbeat rate
-// subject to the same QoS constraints (paper_max_eta — the paper's
-// cheapest-point solver *is* the rate minimizer).
+// Both solve a link estimate rounded up (conservatively) onto a coarse
+// grid, so the solved point is piecewise constant in the raw estimates:
+// per-heartbeat estimator jitter lands in the same cell and produces
+// bit-identical parameters, and the dead band and dwell timer only ever see
+// *real* link changes.
 //
 // One retuner instance serves one group and keeps *per-link* damping
 // state: the group-level point is solved from the tracker's robust
@@ -42,7 +49,7 @@
 //     only if eta or delta moved by more than a relative band (or the
 //     feasibility verdict flipped);
 //   * min-dwell — once adopted, an operating point is held for at least
-//     `min_dwell`, bounding the retune rate to one per dwell window no
+//     `kMinDwell`, bounding the retune rate to one per dwell window no
 //     matter how noisy the estimates are.
 #pragma once
 
@@ -58,11 +65,6 @@
 
 namespace omega::adaptive {
 
-enum class tuning_objective {
-  paper_max_eta,
-  min_detection,
-};
-
 /// Per-group service class: what the group's retuner optimizes for once
 /// the QoS constraints hold.
 enum class qos_class {
@@ -76,80 +78,48 @@ enum class qos_class {
 
 [[nodiscard]] std::string_view to_string(qos_class cls);
 
-struct retuner_options {
-  tuning_objective objective = tuning_objective::min_detection;
-  /// Heartbeat-rate budget for `min_detection`: the solver never picks
-  /// eta below this. Zero means "derive from the QoS": T^U_D / 4, the
-  /// cold-start rate, so adaptive never exceeds the frozen baseline.
-  /// Values are clamped to at most 0.9 * T^U_D so a positive delta always
-  /// fits inside the detection bound.
-  duration eta_budget{0};
-  /// What to do when no point within the budget can hold the QoS. True
-  /// (default): hold the line on cost — eta stays at the budget, delta
-  /// stretches to the full detection window (maximum heartbeats per
-  /// freshness point, the best recurrence the budget buys) and the point
-  /// is marked infeasible, mirroring the paper's best-effort caveat. The
-  /// sending rate is then *provably* capped, which also stops transient
-  /// estimate spikes from pinning peers to a fast rate through the 60 s
-  /// RATE_REQ expiry. False: fall back to the paper solver, which may
-  /// exceed the budget to restore accuracy.
-  bool rate_cap_hard = true;
+class retuner {
+ public:
   /// Minimum time between two adopted retunes.
-  duration min_dwell = sec(10);
+  static constexpr duration kMinDwell = sec(10);
   /// Relative dead band on eta and delta: candidate points inside the band
   /// do not replace the current one — unless the current point stopped
   /// satisfying the QoS under the latest estimate (a stale point is never
   /// kept for calm's sake).
-  double eta_band = 0.20;
-  double delta_band = 0.20;
+  static constexpr double kEtaBand = 0.20;
+  static constexpr double kDeltaBand = 0.20;
   /// Grid resolution of the min-detection search: eta values tried between
   /// the budget and T^U_D / 2 (expected detection delta + eta/2 only grows
   /// with eta once the loss-driven delta >= (k-1)*eta dominates, so larger
   /// eta never wins), delta values tried per eta.
-  int eta_steps = 16;
-  int delta_steps = 100;
+  static constexpr int kEtaSteps = 16;
+  static constexpr int kDeltaSteps = 100;
   /// Schmitt trigger on QoS feasibility. New points are solved with a
-  /// stricter margin (`adopt_margin` > 1 scales the recurrence/accuracy
+  /// stricter margin (`kAdoptMargin` > 1 scales the recurrence/accuracy
   /// requirements up), while the current point is only declared stale when
-  /// it misses the *relaxed* requirement (`keep_margin` < 1). A point that
+  /// it misses the *relaxed* requirement (`kKeepMargin` < 1). A point that
   /// was adopted with margin therefore cannot be invalidated by estimate
   /// jitter around the exact constraint boundary.
-  double adopt_margin = 1.25;
-  double keep_margin = 0.8;
-  /// Round the link estimate up (conservatively) onto a coarse geometric
-  /// grid before solving. This makes the solved operating point piecewise
-  /// constant in the raw estimates: per-heartbeat estimator jitter lands in
-  /// the same cell and produces bit-identical parameters, so the dead band
-  /// and dwell timer only ever see *real* link changes. Disabling it is
-  /// useful in tests that probe the solver itself.
-  bool quantize_inputs = true;
-  fd::configurator_options configurator{};
-};
+  static constexpr double kAdoptMargin = 1.25;
+  static constexpr double kKeepMargin = 0.8;
 
-class retuner {
- public:
-  /// `cls` selects the solving objective: `background` forces
-  /// `paper_max_eta`; `interactive` keeps `opts.objective` (min_detection
-  /// by default).
-  retuner(fd::qos_spec qos, qos_class cls, retuner_options opts);
-  retuner(fd::qos_spec qos, retuner_options opts)
-      : retuner(qos, qos_class::interactive, opts) {}
+  /// `cls` selects the solving objective (see the header comment).
+  explicit retuner(fd::qos_spec qos, qos_class cls = qos_class::interactive);
 
-  /// Pure solver (no hysteresis state): the operating point this objective
-  /// picks for `link`. Falls back to `fd::cold_start_params` below the
-  /// configurator's sample floor, exactly like `fd::configure`.
-  [[nodiscard]] static fd::fd_params solve(const fd::qos_spec& qos,
-                                           const fd::link_estimate& link,
-                                           const retuner_options& opts);
+  /// Pure solver (no hysteresis state): the operating point the class's
+  /// objective picks for `link`. Falls back to `fd::cold_start_params`
+  /// below the configurator's sample floor, exactly like `fd::configure`.
+  [[nodiscard]] static fd::fd_params solve(
+      const fd::qos_spec& qos, const fd::link_estimate& link,
+      qos_class cls = qos_class::interactive);
 
   /// Does `params` satisfy the recurrence and accuracy constraints of
-  /// `qos` under `link` (quantized per `opts`), scaled by `margin` (> 1
-  /// stricter, < 1 more lenient)? True when the estimate has too few
-  /// samples to judge.
+  /// `qos` under `link` (quantized like the solver's input), scaled by
+  /// `margin` (> 1 stricter, < 1 more lenient)? True when the estimate has
+  /// too few samples to judge.
   [[nodiscard]] static bool point_feasible(const fd::qos_spec& qos,
                                            const fd::link_estimate& link,
                                            const fd::fd_params& params,
-                                           const retuner_options& opts,
                                            double margin = 1.0);
 
   /// One damped *group-level* re-tuning step at time `now`: solves for
@@ -200,12 +170,9 @@ class retuner {
 
   [[nodiscard]] std::optional<fd::fd_params> evaluate_damped(
       damped_state& state, const fd::link_estimate& link, time_point now);
-  [[nodiscard]] bool outside_dead_band(const fd::fd_params& current,
-                                       const fd::fd_params& candidate) const;
 
   fd::qos_spec qos_;
   qos_class class_;
-  retuner_options opts_;
   damped_state group_;
   std::unordered_map<node_id, damped_state> peers_;
   std::uint64_t retune_count_ = 0;

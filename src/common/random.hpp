@@ -45,9 +45,8 @@ class rng {
 
   /// Pareto-distributed value with the given mean and tail exponent
   /// `alpha` (classic Pareto(x_m, alpha) with x_m = mean (alpha - 1) /
-  /// alpha, matching the moment parameterization of
-  /// `fd::delay_tail_model::pareto`). Smaller alpha = heavier tail; alpha
-  /// is clamped above 1 so the mean exists. Mean <= 0 yields 0.
+  /// alpha). Smaller alpha = heavier tail; alpha is clamped above 1 so the
+  /// mean exists. Mean <= 0 yields 0.
   double pareto(double mean, double alpha);
 
   /// Pareto-distributed duration with the given mean duration.

@@ -45,19 +45,13 @@ windowed_stats::windowed_stats(std::size_t capacity)
 
 void windowed_stats::add(double x) {
   window_.push_back(x);
-  const double x2 = x * x;
   sum_ += x;
-  sum_sq_ += x2;
-  sum_cube_ += x2 * x;
-  sum_quad_ += x2 * x2;
+  sum_sq_ += x * x;
   if (window_.size() > capacity_) {
     const double old = window_.front();
     window_.pop_front();
-    const double old2 = old * old;
     sum_ -= old;
-    sum_sq_ -= old2;
-    sum_cube_ -= old2 * old;
-    sum_quad_ -= old2 * old2;
+    sum_sq_ -= old * old;
   }
 }
 
@@ -65,8 +59,6 @@ void windowed_stats::reset() {
   window_.clear();
   sum_ = 0.0;
   sum_sq_ = 0.0;
-  sum_cube_ = 0.0;
-  sum_quad_ = 0.0;
 }
 
 double windowed_stats::mean() const {
@@ -84,31 +76,6 @@ double windowed_stats::variance() const {
 }
 
 double windowed_stats::stddev() const { return std::sqrt(variance()); }
-
-double windowed_stats::minimum() const {
-  if (window_.empty()) return 0.0;
-  return *std::min_element(window_.begin(), window_.end());
-}
-
-double windowed_stats::excess_kurtosis() const {
-  const std::size_t count = window_.size();
-  if (count < 4) return 0.0;
-  const double n = static_cast<double>(count);
-  // Central moments from the raw power sums (biased/population form — the
-  // threshold consumer only needs the order of magnitude, not an unbiased
-  // estimator): m2 = E[x^2] - m^2, m4 = E[x^4] - 4mE[x^3] + 6m^2E[x^2] - 3m^4.
-  const double m = sum_ / n;
-  const double r2 = sum_sq_ / n;
-  const double r3 = sum_cube_ / n;
-  const double r4 = sum_quad_ / n;
-  const double m2 = r2 - m * m;
-  if (!(m2 > 0.0)) return 0.0;
-  const double m4 = r4 - 4.0 * m * r3 + 6.0 * m * m * r2 - 3.0 * m * m * m * m;
-  // Degenerate windows (near-constant samples) cancel catastrophically;
-  // treat them as shapeless rather than reporting noise.
-  if (m2 * m2 < 1e-30) return 0.0;
-  return m4 / (m2 * m2) - 3.0;
-}
 
 void time_fraction::begin(time_point start, bool initial) {
   last_change_ = start;

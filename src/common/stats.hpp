@@ -47,23 +47,12 @@ class windowed_stats {
   [[nodiscard]] double mean() const;
   [[nodiscard]] double variance() const;
   [[nodiscard]] double stddev() const;
-  /// Smallest sample currently in the window (0 if empty). O(window).
-  [[nodiscard]] double minimum() const;
-  /// Excess kurtosis of the window (normal = 0, exponential = 6; heavier
-  /// tails exceed that, and distributions whose fourth moment diverges —
-  /// Pareto with alpha <= 4 — blow far past it as the window fills). The
-  /// link-quality estimator uses this as its online tail-shape signal.
-  /// O(1) from running power sums; 0 with < 4 samples or ~zero variance.
-  /// Shift-invariant, so it works on skew-polluted raw clock differences.
-  [[nodiscard]] double excess_kurtosis() const;
 
  private:
   std::size_t capacity_;
   std::deque<double> window_;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
-  double sum_cube_ = 0.0;
-  double sum_quad_ = 0.0;
 };
 
 /// Accumulates the total time a boolean predicate spends `true` on the

@@ -13,7 +13,9 @@
 //    messages m_{i+1}..m_{i+k} (those already sent by tau_{i+1},
 //    k = floor(delta/eta) + 1) has arrived by tau_{i+1}:
 //        q0 = prod_{j=1..k} [ p_L + (1 - p_L) * Pr(D > delta - (j-1)*eta) ]
-//    giving an expected mistake recurrence E[T_MR] = eta / q0;
+//    giving an expected mistake recurrence E[T_MR] = eta / q0. Pr(D > x)
+//    is the exponential tail exp(-x / E[D]): the paper's evaluation draws
+//    exponentially distributed delays (§6.1);
 //  * a mistake lasts until the next heartbeat gets through,
 //    E[T_M] <= eta / (1 - p_L), so the query accuracy is at least
 //        P_A >= 1 - q0 / (1 - p_L).
@@ -28,41 +30,24 @@
 // a live sender whenever one heartbeat is late or lost.
 #pragma once
 
+#include <cstddef>
+
 #include "fd/qos.hpp"
 
 namespace omega::fd {
 
-struct configurator_options {
-  /// Number of grid points for eta in (0, T^U_D).
-  int grid_steps = 100;
-  /// Tail bound used for Pr(D > x).
-  delay_tail_model tail = delay_tail_model::exponential;
-  /// Per-link tail selection: use the estimator's online tail-shape
-  /// verdict (`link_estimate::tail`) instead of the static `tail` above.
-  /// This is how the adaptive engine stops mis-modeling Pareto WAN links
-  /// with an exponential tail (and vice versa): the retuner's
-  /// `configurator_options` flows through here, so flipping this flag in
-  /// `retuner_options::configurator` makes every link self-select.
-  bool auto_tail = false;
-  /// Below this many link samples the estimator output is not trusted and
-  /// a conservative default operating point is returned instead.
-  std::size_t min_samples = 16;
-};
+/// Grid points for eta in (0, T^U_D).
+inline constexpr int kGridSteps = 100;
+/// Below this many link samples the estimator output is not trusted and a
+/// conservative default operating point is returned instead.
+inline constexpr std::size_t kMinSamples = 16;
 
-/// The tail model `configure` will actually use for `link` under `opts`.
-[[nodiscard]] inline delay_tail_model effective_tail(
-    const link_estimate& link, const configurator_options& opts) {
-  return opts.auto_tail ? link.tail : opts.tail;
-}
-
-/// Pr(D > x) under the given tail model and link estimate.
-[[nodiscard]] double delay_tail(const link_estimate& link, delay_tail_model tail,
-                                double x_seconds);
+/// Pr(D > x) under the exponential tail exp(-x / E[D]) of §6.1.
+[[nodiscard]] double delay_tail(const link_estimate& link, double x_seconds);
 
 /// Probability that a given freshness point opens a mistake (q0 above).
 [[nodiscard]] double mistake_probability(const link_estimate& link,
-                                         delay_tail_model tail, double eta_s,
-                                         double delta_s);
+                                         double eta_s, double delta_s);
 
 /// Do both QoS constraints (E[T_MR] >= T^L_MR and P_A >= P^L_A) hold at
 /// the point (eta, delta) under `link`? `margin` scales the requirements
@@ -70,8 +55,7 @@ struct configurator_options {
 /// Schmitt trigger. This is the single home of the constraint math — the
 /// grid searches in `configure` and in the adaptive retuner both call it.
 [[nodiscard]] bool qos_constraints_hold(const qos_spec& qos,
-                                        const link_estimate& link,
-                                        delay_tail_model tail, double eta_s,
+                                        const link_estimate& link, double eta_s,
                                         double delta_s, double margin = 1.0);
 
 /// Same predicate with a precomputed mistake probability, for grid
@@ -82,8 +66,7 @@ struct configurator_options {
                                            double margin = 1.0);
 
 /// Computes the NFD-S operating point for one monitored link.
-[[nodiscard]] fd_params configure(const qos_spec& qos, const link_estimate& link,
-                                  const configurator_options& opts = {});
+[[nodiscard]] fd_params configure(const qos_spec& qos, const link_estimate& link);
 
 /// Conservative operating point used before the estimator has enough
 /// samples: eta = T^U_D / 4, delta = 3*T^U_D / 4.

@@ -7,8 +7,8 @@
 
 namespace omega::fd {
 
-fd_manager::fd_manager(clock_source& clock, timer_service& timers, options opts)
-    : clock_(clock), timers_(timers), opts_(opts), reconfig_timer_(timers) {}
+fd_manager::fd_manager(clock_source& clock, timer_service& timers)
+    : clock_(clock), timers_(timers), reconfig_timer_(timers) {}
 
 fd_manager::~fd_manager() { stop(); }
 
@@ -172,7 +172,7 @@ heartbeat_monitor& fd_manager::ensure_monitor(group_id group, node_id remote,
 void fd_manager::on_alive(const proto::alive_msg& msg, time_point recv_time) {
   auto [it, inserted] = remotes_.try_emplace(msg.from, nullptr);
   if (inserted) {
-    it->second = std::make_unique<remote_state>(opts_.lqe);
+    it->second = std::make_unique<remote_state>();
     it->second->inc = msg.inc;
   }
   remote_state& state = *it->second;
@@ -280,13 +280,13 @@ void fd_manager::forget_trust(node_id remote, const remote_state& state) {
 void fd_manager::start() {
   if (running_) return;
   running_ = true;
-  reconfig_timer_.arm_after(opts_.reconfig_interval, [this] { tick(); });
+  reconfig_timer_.arm_after(kReconfigInterval, [this] { tick(); });
 }
 
 void fd_manager::tick() {
   reconfigure_all();
   if (running_) {
-    reconfig_timer_.arm_after(opts_.reconfig_interval, [this] { tick(); });
+    reconfig_timer_.arm_after(kReconfigInterval, [this] { tick(); });
   }
 }
 
@@ -305,7 +305,7 @@ void fd_manager::reconfigure_all() {
     const bool any_trusted =
         std::any_of(state->monitors.begin(), state->monitors.end(),
                     [](const auto& kv) { return kv.second->trusted(); });
-    if (!any_trusted && state->last_heard + opts_.monitor_gc_after < now) {
+    if (!any_trusted && state->last_heard + kMonitorGcAfter < now) {
       gc.push_back(node);
     }
   }
@@ -338,7 +338,7 @@ void fd_manager::reconfigure_remote(node_id remote, remote_state& state) {
       if (auto plan = plans_.find(group); plan != plans_.end()) {
         if (auto resolved = plan->second.resolve(remote)) return *resolved;
       }
-      return configure(git->second, link, opts_.configurator);
+      return configure(git->second, link);
     }();
     state.params[group] = params;
     monitor->set_delta(params.delta);
@@ -361,15 +361,15 @@ void fd_manager::renegotiate_rate(node_id remote, remote_state& state,
   // Hysteresis; skip long-silent remotes.
   if (!send_rate_request_) return;
   if (state.last_heard == time_point{} ||
-      state.last_heard + opts_.rate_silence_cutoff < now) {
+      state.last_heard + kRateSilenceCutoff < now) {
     return;
   }
   const bool first = state.last_requested_eta == duration{0};
   const double old_s = to_seconds(state.last_requested_eta);
   const double new_s = to_seconds(min_eta);
   const bool changed =
-      first || std::abs(new_s - old_s) > opts_.rate_hysteresis * old_s;
-  const bool refresh_due = state.last_rate_sent + opts_.rate_refresh <= now;
+      first || std::abs(new_s - old_s) > kRateHysteresis * old_s;
+  const bool refresh_due = state.last_rate_sent + kRateRefresh <= now;
   if (changed || refresh_due) {
     state.last_requested_eta = min_eta;
     state.last_rate_sent = now;

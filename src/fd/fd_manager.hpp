@@ -13,7 +13,9 @@
 // (group default + per-remote refinement), so one bad WAN link never drags
 // every clean LAN link in the group down to the worst link's delta.
 // Loss is counted per (remote, group) heartbeat stream, since a remote
-// sends each group's payload only to that group's members.
+// sends each group's payload only to that group's members. The pass's
+// cadence, the rate hysteresis and refresh, and the GC and silence
+// cutoffs are constants below: the detector has one configuration.
 #pragma once
 
 #include <cstdint>
@@ -39,20 +41,16 @@ namespace omega::fd {
 
 class fd_manager {
  public:
-  struct options {
-    link_quality_estimator::options lqe{};
-    configurator_options configurator{};
-    /// How often link estimates are re-read and (eta, delta) recomputed.
-    duration reconfig_interval = sec(1);
-    /// Relative change of requested eta that triggers a new RATE_REQ.
-    double rate_hysteresis = 0.10;
-    /// RATE_REQs are refreshed at least this often while the remote lives.
-    duration rate_refresh = sec(20);
-    /// Suspected *and* silent monitors are garbage-collected after this.
-    duration monitor_gc_after = sec(120);
-    /// Remotes silent for longer stop receiving RATE_REQs.
-    duration rate_silence_cutoff = sec(30);
-  };
+  /// How often link estimates are re-read and (eta, delta) recomputed.
+  static constexpr duration kReconfigInterval = sec(1);
+  /// Relative change of requested eta that triggers a new RATE_REQ.
+  static constexpr double kRateHysteresis = 0.10;
+  /// RATE_REQs are refreshed at least this often while the remote lives.
+  static constexpr duration kRateRefresh = sec(20);
+  /// Suspected *and* silent monitors are garbage-collected after this.
+  static constexpr duration kMonitorGcAfter = sec(120);
+  /// Remotes silent for longer stop receiving RATE_REQs.
+  static constexpr duration kRateSilenceCutoff = sec(30);
 
   /// (group, remote node, trusted?) on every trust/suspect edge.
   using transition_handler = std::function<void(group_id, node_id, bool)>;
@@ -63,9 +61,7 @@ class fd_manager {
   using link_observer = std::function<void(node_id, const link_estimate&,
                                            time_point)>;
 
-  fd_manager(clock_source& clock, timer_service& timers)
-      : fd_manager(clock, timers, options{}) {}
-  fd_manager(clock_source& clock, timer_service& timers, options opts);
+  fd_manager(clock_source& clock, timer_service& timers);
   ~fd_manager();
 
   fd_manager(const fd_manager&) = delete;
@@ -178,7 +174,6 @@ class fd_manager {
     duration last_requested_eta{0};
     time_point last_rate_sent{};
     time_point last_heard{};
-    explicit remote_state(const link_quality_estimator::options& o) : lqe(o) {}
   };
 
   void reconfigure_all();
@@ -205,7 +200,6 @@ class fd_manager {
 
   clock_source& clock_;
   timer_service& timers_;
-  options opts_;
   transition_handler on_transition_;
   rate_request_fn send_rate_request_;
   link_observer on_link_sample_;

@@ -11,20 +11,12 @@
 //     loss rate, and the floor is what makes the configurator keep a safety
 //     margin on clean LANs.
 //   * delay mean E[D] and standard deviation S[D] — from the difference
-//     between the embedded send timestamp and the local receive time over a
-//     sliding window. (Simulation clocks are perfectly synchronized; the
-//     real-time runtime relies on NTP-grade sync exactly like the paper's
-//     LAN testbed.)
-//
-// For deployments without synchronized clocks, the estimator has a
-// *skew-tolerant* mode (Chen et al.'s NFD-E idea): raw `received - sent`
-// differences are offset by an unknown constant (clock skew), so the mode
-// re-bases every sample against the smallest difference seen in the window
-// — the sample that experienced the least queuing. The re-based values
-// estimate delay *jitter above the minimum*; the unknown propagation floor
-// is invisible to any clock-free scheme, which only makes the (eta, delta)
-// choice slightly conservative. Loss estimation is unaffected (sequence
-// numbers carry no time).
+//     between the embedded send timestamp and the local receive time over
+//     one sliding window per remote. This needs synchronized clocks, and so
+//     does NFD-S itself: a monitor compares the sender's send time plus
+//     eta + delta with its own clock. Simulation clocks are perfectly
+//     synchronized; the real-time runtime relies on NTP-grade sync exactly
+//     like the paper's LAN testbed.
 #pragma once
 
 #include <cstdint>
@@ -39,32 +31,16 @@ namespace omega::fd {
 
 class link_quality_estimator {
  public:
-  struct options {
-    std::size_t delay_window = 256;   // samples kept for E[D], S[D]
-    std::size_t loss_epoch = 128;     // heartbeats per stream per epoch
-    double loss_ewma_alpha = 0.3;     // weight of the newest epoch
-    double loss_floor = 0.5 / 256.0;  // cannot certify loss below this
-    /// True (default): sender and receiver clocks are comparable, delays
-    /// are measured absolutely. False: skew-tolerant mode — delays are
-    /// measured relative to the window's minimum difference (see header).
-    bool synchronized_clocks = true;
-    /// Online tail-shape estimation (ISSUE 10 satellite): classify the
-    /// delay tail from the window's excess kurtosis instead of hardwiring
-    /// the exponential assumption. An exponential's excess kurtosis is 6;
-    /// windows decisively above `pareto_kurtosis_threshold` are flagged
-    /// `delay_tail_model::pareto` in the estimate (a Pareto tail with
-    /// alpha <= 4 has a divergent fourth moment, so its empirical kurtosis
-    /// runs away as the window fills). The verdict is a *hint*: it only
-    /// changes FD behaviour when `configurator_options::auto_tail` is on.
-    bool estimate_tail = true;
-    double pareto_kurtosis_threshold = 12.0;
-    /// Below this many delay samples the kurtosis is too noisy to call
-    /// anything non-exponential.
-    std::size_t tail_min_samples = 64;
-  };
+  /// Delay samples kept for E[D], S[D].
+  static constexpr std::size_t kDelayWindow = 256;
+  /// Heartbeats per stream per loss epoch.
+  static constexpr std::size_t kLossEpoch = 128;
+  /// Weight of the newest epoch in the loss EWMA.
+  static constexpr double kLossEwmaAlpha = 0.3;
+  /// A finite sample cannot certify loss below this.
+  static constexpr double kLossFloor = 0.5 / 256.0;
 
-  link_quality_estimator() : link_quality_estimator(options{}) {}
-  explicit link_quality_estimator(options opts);
+  link_quality_estimator() : delay_seconds_(kDelayWindow) {}
 
   /// Feeds the delay sample of one received ALIVE (once per datagram,
   /// whatever groups it carries).
@@ -103,9 +79,7 @@ class link_quality_estimator {
   static double epoch_loss(const stream_epoch& epoch);
   void roll_epoch(stream_epoch& epoch);
 
-  options opts_;
-  windowed_stats delay_seconds_;  // absolute (synchronized) or re-based (skewed)
-  windowed_stats raw_diff_seconds_;  // skew-tolerant mode: raw recv - sent
+  windowed_stats delay_seconds_;
   std::uint64_t total_received_ = 0;
 
   /// estimate() is a pure function of the sample state and is queried both

@@ -6,6 +6,8 @@
 // The configurator translates these, together with the current link
 // quality (p_L, E[D], S[D]), into the two operational parameters of the
 // NFD-S algorithm: the heartbeat interval eta and the freshness shift delta.
+// It models the delay tail as exponential, the distribution of the paper's
+// evaluation (§6.1).
 #pragma once
 
 #include <cstddef>
@@ -46,22 +48,6 @@ struct fd_params {
   friend bool operator==(const fd_params&, const fd_params&) = default;
 };
 
-/// Tail model used by the configurator for Pr(D > x).
-enum class delay_tail_model {
-  /// Exponential tail exp(-x / E[D]) — matches the evaluation's
-  /// exponentially distributed delays (paper §6.1).
-  exponential,
-  /// Distribution-free one-sided Chebyshev bound V / (V + (x - E)^2),
-  /// usable when nothing is known about the delay distribution [5].
-  chebyshev,
-  /// Heavy-tailed Pareto model for WAN delay, moment-fitted from
-  /// (E[D], S[D]): shape alpha = 1 + sqrt(1 + E^2/V), scale
-  /// x_m = E (alpha - 1) / alpha, Pr(D > x) = (x_m / x)^alpha for
-  /// x > x_m. Polynomial decay: far out in the tail it is much more
-  /// conservative than the exponential model.
-  pareto,
-};
-
 /// Current estimate of one directed link's behaviour, produced by the
 /// link-quality estimator from the received heartbeat stream.
 struct link_estimate {
@@ -69,11 +55,6 @@ struct link_estimate {
   duration delay_mean = msec(1);   // E[D]
   duration delay_stddev = msec(1); // sqrt(V[D])
   std::size_t samples = 0;         // heartbeats the estimate is based on
-  /// Online tail-shape verdict of the estimator (excess kurtosis over the
-  /// delay window): exponential until the window proves a heavier tail.
-  /// Consumed only when `configurator_options::auto_tail` is on — with it
-  /// off the configurator's static `tail` choice applies, as before.
-  delay_tail_model tail = delay_tail_model::exponential;
 
   friend bool operator==(const link_estimate&, const link_estimate&) = default;
 };

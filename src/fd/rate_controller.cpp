@@ -4,12 +4,9 @@
 
 namespace omega::fd {
 
-rate_controller::rate_controller(duration default_eta, duration expiry)
-    : default_eta_(default_eta), expiry_(expiry) {}
-
 void rate_controller::on_request(node_id from, duration eta, time_point now) {
   if (eta <= duration{0}) return;  // malformed; ignore
-  auto [it, inserted] = requests_.try_emplace(from, request{eta, now + expiry_});
+  auto [it, inserted] = requests_.try_emplace(from, request{eta, now + kRequestExpiry});
   if (!inserted) {
     // Overwriting the entry that achieved (or could have achieved) the
     // cached minimum with a slower rate can raise the true minimum, which
@@ -20,7 +17,7 @@ void rate_controller::on_request(node_id from, duration eta, time_point now) {
     if (cache_valid_ && it->second.eta <= cached_min_ && eta > it->second.eta) {
       cache_valid_ = false;
     }
-    it->second = request{eta, now + expiry_};
+    it->second = request{eta, now + kRequestExpiry};
   }
   if (cache_valid_ && (cached_min_ == duration{0} || eta <= cached_min_)) {
     cached_min_ = eta;

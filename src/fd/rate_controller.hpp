@@ -23,9 +23,13 @@ namespace omega::fd {
 
 class rate_controller {
  public:
+  /// Requests not refreshed for this long age out; a live monitor
+  /// refreshes its request every `fd_manager::kRateRefresh` (20 s).
+  static constexpr duration kRequestExpiry = sec(60);
+
   /// `default_eta` is the rate used with no outstanding requests (derived
-  /// from the sender's own QoS spec); `expiry` ages requests out.
-  explicit rate_controller(duration default_eta, duration expiry = sec(60));
+  /// from the sender's own QoS spec).
+  explicit rate_controller(duration default_eta) : default_eta_(default_eta) {}
 
   /// Records a rate request from `from` received at `now`.
   void on_request(node_id from, duration eta, time_point now);
@@ -49,7 +53,6 @@ class rate_controller {
   };
 
   duration default_eta_;
-  duration expiry_;
   std::unordered_map<node_id, request> requests_;
 
   /// Memoized scan result. effective_eta() is called on every outgoing

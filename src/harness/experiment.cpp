@@ -227,7 +227,6 @@ void experiment::start_service(workstation& ws) {
     copts.region.fd_class = sc_.fd_class;
     copts.region.alg = sc_.alg;
     copts.upper.qos = sc_.hierarchy.global_qos;
-    copts.upper.fd_class = sc_.hierarchy.global_class;
     copts.scoped_hello = sc_.hierarchy.scoped_hello;
     const std::size_t top = topo_->top_tier();
     ws.coord = std::make_unique<hierarchy::hierarchy_coordinator>(

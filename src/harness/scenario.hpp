@@ -70,10 +70,10 @@ struct hierarchy_profile {
   /// Per-region churn overrides (index = region); regions beyond the
   /// vector's size use `scenario::churn` (region-scoped churn profiles).
   std::vector<churn_profile> region_churn;
-  /// FD QoS and class of the global tier. Background class lets the
-  /// listener-heavy global group relax heartbeat rates when adaptive.
+  /// FD QoS of the upper tiers. They join as the background class (the
+  /// coordinator's default), so the listener-heavy upper groups relax
+  /// heartbeat rates when adaptive.
   fd::qos_spec global_qos = fd::qos_spec::paper_default();
-  adaptive::qos_class global_class = adaptive::qos_class::background;
 
   static hierarchy_profile none() { return {}; }
   static hierarchy_profile with_regions(std::size_t regions) {

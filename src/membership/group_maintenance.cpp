@@ -204,7 +204,7 @@ void group_maintenance::on_alive(const proto::alive_msg& msg, time_point now) {
 void group_maintenance::start() {
   if (running_) return;
   running_ = true;
-  sweep_timer_.arm_after(opts_.hello_interval, [this] { sweep(); });
+  sweep_timer_.arm_after(kHelloInterval, [this] { sweep(); });
 }
 
 void group_maintenance::stop() {
@@ -217,7 +217,7 @@ void group_maintenance::sweep() {
   // unstamped and evictions start their own chains.
   obs::sink::activation causal_scope(sink_);
   broadcast_hello(/*reply_requested=*/false);
-  const time_point cutoff = clock_.now() - opts_.eviction_after;
+  const time_point cutoff = clock_.now() - kEvictionAfter;
   // Iterate over a snapshot of the group ids: an eviction event may re-enter
   // local_join / local_leave (the hierarchy coordinator promotes and demotes
   // from leader callbacks), and a map insert could rehash under a live
@@ -239,7 +239,7 @@ void group_maintenance::sweep() {
     }
   }
   if (running_) {
-    sweep_timer_.arm_after(opts_.hello_interval, [this] { sweep(); });
+    sweep_timer_.arm_after(kHelloInterval, [this] { sweep(); });
   }
 }
 
@@ -319,11 +319,11 @@ void group_maintenance::emit_scoped_hello() {
 
   // Discovery probes: rotate through roster nodes outside the scoped set
   // with a full reply-requested HELLO, healing lost-join gaps over time.
-  if (opts_.anti_entropy_probes == 0 || cluster_roster_.empty()) return;
+  if (cluster_roster_.empty()) return;
   std::unordered_set<node_id> covered(dst_order.begin(), dst_order.end());
   std::vector<node_id> probes;
   for (std::size_t step = 0;
-       step < cluster_roster_.size() && probes.size() < opts_.anti_entropy_probes;
+       step < cluster_roster_.size() && probes.size() < kAntiEntropyProbes;
        ++step) {
     const node_id candidate =
         cluster_roster_[probe_cursor_++ % cluster_roster_.size()];

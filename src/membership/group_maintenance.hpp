@@ -50,7 +50,7 @@ namespace omega::membership {
 ///   * the initial join HELLO (reply_requested) still goes cluster-wide:
 ///     it is the discovery bootstrap that seeds the rosters in the first
 ///     place, and it is O(roster) once per join, not per interval;
-///   * each sweep additionally probes `anti_entropy_probes` roster nodes
+///   * each sweep additionally probes one roster node (`kAntiEntropyProbes`)
 ///     outside the scoped destination set (round-robin, reply_requested),
 ///     healing the rare gap where a join HELLO was lost *and* every
 ///     snapshot holder crashed.
@@ -66,16 +66,17 @@ class group_maintenance {
   /// instead of one from every roster node.
   static constexpr std::size_t kSnapshotFanout = 3;
 
+  /// Period of the anti-entropy HELLO broadcast and eviction sweep.
+  static constexpr duration kHelloInterval = sec(2);
+  /// Members silent (no HELLO/ALIVE) for this long are evicted unless the
+  /// failure detector still trusts their node.
+  static constexpr duration kEvictionAfter = sec(30);
+  /// Extra discovery probes per sweep in `roster` mode (see above).
+  static constexpr std::size_t kAntiEntropyProbes = 1;
+
   struct options {
-    /// Period of the anti-entropy HELLO broadcast and eviction sweep.
-    duration hello_interval = sec(2);
-    /// Members silent (no HELLO/ALIVE) for this long are evicted unless the
-    /// failure detector still trusts their node.
-    duration eviction_after = sec(30);
     /// Destination policy of HELLO/LEAVE dissemination (see `hello_fanout`).
     hello_fanout fanout = hello_fanout::all;
-    /// Extra discovery probes per sweep in `roster` mode (see above).
-    std::size_t anti_entropy_probes = 1;
   };
 
   struct events {

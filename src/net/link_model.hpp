@@ -22,8 +22,9 @@ enum class delay_distribution {
   /// Exponentially distributed delays — the paper's §6.1 model.
   exponential,
   /// Heavy-tailed Pareto delays (WAN-grade tails): most messages arrive
-  /// quickly, a polynomially decaying fraction arrives very late. This is
-  /// the traffic the configurator's `fd::delay_tail_model::pareto` models.
+  /// quickly, a polynomially decaying fraction arrives very late. Only the
+  /// simulated traffic takes this shape: the configurator models every
+  /// link's delay tail as exponential (§6.1).
   pareto,
 };
 

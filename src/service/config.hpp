@@ -8,7 +8,6 @@
 #include "adaptive/engine.hpp"
 #include "common/ids.hpp"
 #include "election/elector.hpp"
-#include "fd/fd_manager.hpp"
 #include "fd/qos.hpp"
 #include "membership/group_maintenance.hpp"
 #include "obs/sink.hpp"
@@ -35,12 +34,8 @@ struct service_config {
   membership::hello_fanout hello_fanout = membership::hello_fanout::all;
   /// Which of the three election algorithms this instance runs.
   election::algorithm alg = election::algorithm::omega_lc;
-  /// Failure-detector tuning (estimator windows, reconfiguration cadence...).
-  fd::fd_manager::options fd{};
-  /// Group-maintenance tuning (HELLO period, eviction timeout).
-  membership::group_maintenance::options gm{};
-  /// Online QoS re-configuration: tuning mode plus adaptation-engine knobs
-  /// (tracker windows, retune hysteresis).
+  /// Online QoS re-configuration: the tuning mode and whether the
+  /// adaptation engine refines each link on its own.
   adaptive::engine_options adaptive{};
   /// Observability sink (metrics + structured trace), threaded through
   /// every module of the instance. Null (the default) disables the plane;

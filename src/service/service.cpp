@@ -13,12 +13,6 @@ struct overloaded : Ts... {
 };
 template <class... Ts>
 overloaded(Ts...) -> overloaded<Ts...>;
-
-membership::group_maintenance::options gm_options(const service_config& cfg) {
-  auto opts = cfg.gm;
-  opts.fanout = cfg.hello_fanout;
-  return opts;
-}
 }  // namespace
 
 leader_election_service::leader_election_service(clock_source& clock,
@@ -29,8 +23,8 @@ leader_election_service::leader_election_service(clock_source& clock,
       timers_(timers),
       transport_(transport),
       config_(std::move(config)),
-      fd_(clock, timers, config_.fd),
-      gm_(clock, timers, config_.self, config_.inc, gm_options(config_)),
+      fd_(clock, timers),
+      gm_(clock, timers, config_.self, config_.inc, {config_.hello_fanout}),
       rate_(fd::qos_spec{}.detection_time / 4),
       alive_timer_(timers) {
   transport_.set_receive_handler([this](const net::datagram& d) { on_datagram(d); });

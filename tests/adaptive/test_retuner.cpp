@@ -27,14 +27,13 @@ time_point at(int seconds) { return time_origin + sec(seconds); }
 
 TEST(RetunerSolve, ColdStartBelowSampleFloor) {
   const auto qos = interactive_qos();
-  const auto params = retuner::solve(qos, link(0.01, msec(10), /*samples=*/3),
-                                     retuner_options{});
+  const auto params = retuner::solve(qos, link(0.01, msec(10), /*samples=*/3));
   EXPECT_EQ(params, fd::cold_start_params(qos));
 }
 
 TEST(RetunerSolve, MinDetectionBeatsColdStartOnGoodLink) {
   const auto qos = interactive_qos();
-  const auto params = retuner::solve(qos, link(0.002, usec(25)), retuner_options{});
+  const auto params = retuner::solve(qos, link(0.002, usec(25)));
   ASSERT_TRUE(params.qos_feasible);
   // Same heartbeat rate as the cold-start point...
   EXPECT_EQ(params.eta, qos.detection_time / 4);
@@ -46,16 +45,15 @@ TEST(RetunerSolve, MinDetectionBeatsColdStartOnGoodLink) {
 }
 
 TEST(RetunerSolve, MinDetectionRespectsQosConstraints) {
+  // The solver rounds loss and delay up before solving, so a point that
+  // holds the QoS on the rounded link holds it on the raw one too.
   const auto qos = interactive_qos();
-  retuner_options opts;
-  opts.quantize_inputs = false;  // probe the solver itself
   for (double loss : {0.002, 0.01, 0.05}) {
     for (auto delay : {usec(25), msec(10), msec(50)}) {
-      const auto params = retuner::solve(qos, link(loss, delay), opts);
+      const auto params = retuner::solve(qos, link(loss, delay));
       if (!params.qos_feasible) continue;
       const double q0 = fd::mistake_probability(
-          link(loss, delay), fd::delay_tail_model::exponential,
-          to_seconds(params.eta), to_seconds(params.delta));
+          link(loss, delay), to_seconds(params.eta), to_seconds(params.delta));
       EXPECT_GE(to_seconds(params.eta) / q0, to_seconds(qos.mistake_recurrence))
           << "loss=" << loss << " delay=" << to_seconds(delay);
       EXPECT_GE(1.0 - q0 / (1.0 - loss), qos.query_accuracy);
@@ -68,49 +66,23 @@ TEST(RetunerSolve, HardRateCapFallsBackToFullWindow) {
   // 30% loss cannot meet the QoS within the budgeted rate; the hard cap
   // keeps eta at the budget and surrenders accuracy explicitly.
   const auto qos = interactive_qos();
-  const auto params = retuner::solve(qos, link(0.3, msec(100)), retuner_options{});
+  const auto params = retuner::solve(qos, link(0.3, msec(100)));
   EXPECT_FALSE(params.qos_feasible);
   EXPECT_EQ(params.eta, qos.detection_time / 4);
   EXPECT_EQ(params.delta, qos.detection_time - qos.detection_time / 4);
 }
 
-TEST(RetunerSolve, SoftRateCapRestoresAccuracyWithFasterHeartbeats) {
-  const auto qos = interactive_qos();
-  retuner_options opts;
-  opts.rate_cap_hard = false;
-  const auto params = retuner::solve(qos, link(0.05, msec(10)), opts);
-  // The paper solver may exceed the budget (smaller eta) to hold the QoS.
-  EXPECT_LT(params.eta, qos.detection_time / 4);
-}
-
-TEST(RetunerSolve, OversizedBudgetClampedInsideDetectionWindow) {
-  const auto qos = interactive_qos();
-  retuner_options opts;
-  // Budget beyond the detection bound: must clamp, never emit a negative
-  // delta (which would arm monitors with an instant-suspicion timeout).
-  opts.eta_budget = sec(2);
-  const auto params = retuner::solve(qos, link(0.3, msec(100)), opts);
-  EXPECT_GT(params.delta, duration{0});
-  EXPECT_LE(params.eta + params.delta, qos.detection_time);
-
-  // Budget above T/2 but inside the window: stays a floor on eta.
-  opts.eta_budget = msec(800);
-  const auto p2 = retuner::solve(qos, link(0.002, usec(25)), opts);
-  EXPECT_GE(p2.eta, msec(800));
-  EXPECT_GT(p2.delta, duration{0});
-}
-
 TEST(RetunerSolve, WorseLinkNeedsLargerDelta) {
   const auto qos = interactive_qos();
-  const auto clean = retuner::solve(qos, link(0.002, usec(25)), retuner_options{});
-  const auto mid = retuner::solve(qos, link(0.01, msec(10)), retuner_options{});
-  const auto bad = retuner::solve(qos, link(0.01, msec(50)), retuner_options{});
+  const auto clean = retuner::solve(qos, link(0.002, usec(25)));
+  const auto mid = retuner::solve(qos, link(0.01, msec(10)));
+  const auto bad = retuner::solve(qos, link(0.01, msec(50)));
   EXPECT_LT(clean.delta, mid.delta);
   EXPECT_LT(mid.delta, bad.delta);
 }
 
 TEST(Retuner, AdoptsInitialPointImmediately) {
-  retuner rt(interactive_qos(), retuner_options{});
+  retuner rt(interactive_qos());
   const auto adopted = rt.evaluate(link(0.002, usec(25)), at(0));
   ASSERT_TRUE(adopted.has_value());
   EXPECT_EQ(rt.retune_count(), 1u);
@@ -118,7 +90,7 @@ TEST(Retuner, AdoptsInitialPointImmediately) {
 }
 
 TEST(Retuner, DeadBandHoldsUnderEstimateJitter) {
-  retuner rt(interactive_qos(), retuner_options{});
+  retuner rt(interactive_qos());
   ASSERT_TRUE(rt.evaluate(link(0.01, msec(10)), at(0)).has_value());
   // Jitter well inside one quantization cell, spread over many dwell
   // windows: never a retune.
@@ -131,7 +103,7 @@ TEST(Retuner, DeadBandHoldsUnderEstimateJitter) {
 }
 
 TEST(Retuner, RetunesOnSustainedLossShift) {
-  retuner rt(interactive_qos(), retuner_options{});
+  retuner rt(interactive_qos());
   ASSERT_TRUE(rt.evaluate(link(0.002, usec(25)), at(0)).has_value());
   const auto before = rt.current();
   // Loss jumps two decades and stays there: after the dwell the point moves.
@@ -144,9 +116,7 @@ TEST(Retuner, RetunesOnSustainedLossShift) {
 TEST(Retuner, DwellBoundsOscillation) {
   // Acceptance criterion: on a stationary lossy link, no more than one
   // retune per min-dwell window no matter how noisy the estimates are.
-  retuner_options opts;
-  opts.min_dwell = sec(10);
-  retuner rt(interactive_qos(), opts);
+  retuner rt(interactive_qos());
 
   std::uint64_t evaluations = 0;
   for (int t = 0; t <= 120; ++t) {  // one evaluation per second
@@ -158,13 +128,14 @@ TEST(Retuner, DwellBoundsOscillation) {
     ++evaluations;
   }
   EXPECT_EQ(evaluations, 121u);
-  // 120 s / 10 s dwell = at most 12 windows, plus the initial adoption.
+  // 120 s / 10 s dwell (kMinDwell) = at most 12 windows, plus the initial
+  // adoption.
   EXPECT_LE(rt.retune_count(), 13u);
   EXPECT_GE(rt.retune_count(), 2u);  // it did keep adapting
 }
 
 TEST(Retuner, StationaryLinkSettlesToOnePoint) {
-  retuner rt(interactive_qos(), retuner_options{});
+  retuner rt(interactive_qos());
   // Stationary lossy link with realistic estimator noise around 1%.
   for (int t = 0; t <= 300; t += 2) {
     const double noise = 0.002 * (((t / 2) % 5) - 2);  // +/-0.4% wobble
@@ -180,8 +151,8 @@ TEST(RetunerClass, BackgroundMinimizesHeartbeatRate) {
   // eta (the paper's cheapest point), the interactive class holds the rate
   // budget and spends it on detection latency.
   const auto qos = interactive_qos();
-  retuner bg(qos, qos_class::background, retuner_options{});
-  retuner ia(qos, qos_class::interactive, retuner_options{});
+  retuner bg(qos, qos_class::background);
+  retuner ia(qos, qos_class::interactive);
   const auto est = link(0.002, usec(25));
   const auto bg_point = bg.evaluate(est, at(0));
   const auto ia_point = ia.evaluate(est, at(0));
@@ -196,7 +167,7 @@ TEST(RetunerClass, BackgroundMinimizesHeartbeatRate) {
 }
 
 TEST(RetunerPerPeer, IndependentStatePerLink) {
-  retuner rt(interactive_qos(), retuner_options{});
+  retuner rt(interactive_qos());
   const node_id lan{1};
   const node_id wan{2};
   const auto lan_point = rt.evaluate_peer(lan, link(0.002, usec(25)), at(0));
@@ -218,7 +189,7 @@ TEST(RetunerPerPeer, IndependentStatePerLink) {
 }
 
 TEST(RetunerPerPeer, ForgetPeerFallsBackToGroupPoint) {
-  retuner rt(interactive_qos(), retuner_options{});
+  retuner rt(interactive_qos());
   ASSERT_TRUE(rt.evaluate(link(0.01, msec(10)), at(0)).has_value());
   const node_id peer{5};
   ASSERT_TRUE(rt.evaluate_peer(peer, link(0.002, usec(25)), at(0)).has_value());
@@ -231,32 +202,8 @@ TEST(RetunerPerPeer, ForgetPeerFallsBackToGroupPoint) {
   EXPECT_TRUE(rt.evaluate_peer(peer, link(0.002, usec(25)), at(1)).has_value());
 }
 
-TEST(Retuner, ParetoTailQuantizationGridConverges) {
-  // ROADMAP's WAN validation: the retuner's coarse 1.5^n delay grid was
-  // chosen to survive heavy tails. Under the Pareto tail model a
-  // stationary WAN link with +/-10% delay wobble (inside one grid cell)
-  // must settle to one operating point — no dwell-window flapping.
-  retuner_options opts;
-  opts.configurator.tail = fd::delay_tail_model::pareto;
-  retuner rt(interactive_qos(), opts);
-  for (int t = 0; t <= 300; t += 2) {
-    const double wobble = 1.0 + 0.05 * (((t / 2) % 5) - 2);  // +/-10% spread
-    const auto delay = from_seconds(0.020 * wobble);
-    (void)rt.evaluate(link(0.008, delay), at(t));
-  }
-  // Initial adoption + at most a couple of convergence steps across ~30
-  // dwell windows; flapping would show up as one retune per window.
-  EXPECT_LE(rt.retune_count(), 3u);
-  EXPECT_TRUE(rt.current().qos_feasible);
-  // And the adopted point really holds the QoS under the heavy tail.
-  EXPECT_TRUE(retuner::point_feasible(interactive_qos(), link(0.008, msec(20)),
-                                      rt.current(), opts));
-}
-
 TEST(Retuner, StalePointReplacedWhenQosBreaks) {
-  retuner_options opts;
-  opts.min_dwell = sec(10);
-  retuner rt(interactive_qos(), opts);
+  retuner rt(interactive_qos());
   ASSERT_TRUE(rt.evaluate(link(0.002, usec(25)), at(0)).has_value());
   const auto lan_point = rt.current();
   ASSERT_TRUE(lan_point.qos_feasible);
@@ -265,7 +212,7 @@ TEST(Retuner, StalePointReplacedWhenQosBreaks) {
   const auto adopted = rt.evaluate(link(0.1, msec(100)), at(20));
   ASSERT_TRUE(adopted.has_value());
   EXPECT_FALSE(retuner::point_feasible(interactive_qos(),
-                                       link(0.1, msec(100)), lan_point, opts));
+                                       link(0.1, msec(100)), lan_point));
 }
 
 }  // namespace

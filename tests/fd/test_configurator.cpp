@@ -18,90 +18,21 @@ link_estimate make_link(double loss, duration delay, std::size_t samples = 1000)
 
 TEST(DelayTail, ExponentialBasics) {
   const auto link = make_link(0.0, msec(100));
-  EXPECT_DOUBLE_EQ(delay_tail(link, delay_tail_model::exponential, 0.0), 1.0);
-  EXPECT_NEAR(delay_tail(link, delay_tail_model::exponential, 0.1), 0.3679, 1e-3);
-  EXPECT_LT(delay_tail(link, delay_tail_model::exponential, 1.0), 1e-4);
-}
-
-TEST(DelayTail, ChebyshevBasics) {
-  const auto link = make_link(0.0, msec(100));
-  // At or below the mean the bound is vacuous.
-  EXPECT_DOUBLE_EQ(delay_tail(link, delay_tail_model::chebyshev, 0.05), 1.0);
-  // One stddev above the mean: V/(V+V) = 1/2.
-  EXPECT_NEAR(delay_tail(link, delay_tail_model::chebyshev, 0.2), 0.5, 1e-9);
-  // Far above: decays quadratically.
-  EXPECT_NEAR(delay_tail(link, delay_tail_model::chebyshev, 1.1), 0.01, 2e-3);
-}
-
-TEST(DelayTail, ParetoBasics) {
-  const auto link = make_link(0.0, msec(100));
-  // Moment fit with E = S = 100 ms: alpha = 1 + sqrt(2), x_m ~ 58.6 ms.
-  // At or below the fitted scale the tail is certain.
-  EXPECT_DOUBLE_EQ(delay_tail(link, delay_tail_model::pareto, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(delay_tail(link, delay_tail_model::pareto, 0.05), 1.0);
-  // (x_m / x)^alpha at x = 1 s: (0.0586)^2.414 ~ 1.06e-3.
-  EXPECT_NEAR(delay_tail(link, delay_tail_model::pareto, 1.0), 1.06e-3, 2e-4);
-  // Monotone decreasing past the scale.
-  EXPECT_GT(delay_tail(link, delay_tail_model::pareto, 0.2),
-            delay_tail(link, delay_tail_model::pareto, 0.4));
-}
-
-TEST(DelayTail, ParetoHeavierThanExponentialFarOut) {
-  // The defining property of the heavy tail: polynomial decay dominates
-  // exponential decay far from the mean — exactly where freshness points
-  // live on a WAN link with a tight detection bound.
-  const auto link = make_link(0.0, msec(10));
-  for (double x : {0.1, 0.2, 0.5, 1.0}) {  // 10x..100x the mean delay
-    EXPECT_GT(delay_tail(link, delay_tail_model::pareto, x),
-              delay_tail(link, delay_tail_model::exponential, x))
-        << "x=" << x;
-  }
-}
-
-TEST(MistakeProbability, ParetoMoreConservativeInTheFarTail) {
-  // With no loss, q0 is a pure product of tail probabilities; at freshness
-  // points tens of mean-delays out, the polynomial tail dominates and the
-  // predicted mistake rate is (much) higher than the exponential model's.
-  const auto link = make_link(0.0, msec(10));
-  const double q_par =
-      mistake_probability(link, delay_tail_model::pareto, 0.25, 0.75);
-  const double q_exp =
-      mistake_probability(link, delay_tail_model::exponential, 0.25, 0.75);
-  EXPECT_GT(q_par, q_exp);
-}
-
-TEST(Configurator, ParetoFeasiblePointsSatisfyConstraints) {
-  // Self-consistency of the heavy-tail solver: every point it claims
-  // feasible holds both QoS constraints evaluated under the same model.
-  configurator_options opts;
-  opts.tail = delay_tail_model::pareto;
-  const qos_spec qos = qos_spec::paper_default();
-  for (double loss : {0.0, 0.01, 0.05}) {
-    for (auto delay : {msec(1), msec(10), msec(50)}) {
-      const auto link = make_link(loss, delay);
-      const auto params = configure(qos, link, opts);
-      EXPECT_EQ(params.eta + params.delta, qos.detection_time);
-      if (!params.qos_feasible) continue;
-      const double q0 =
-          mistake_probability(link, delay_tail_model::pareto,
-                              to_seconds(params.eta), to_seconds(params.delta));
-      EXPECT_GE(to_seconds(params.eta) / q0, to_seconds(qos.mistake_recurrence))
-          << "loss=" << loss << " delay=" << to_seconds(delay);
-      EXPECT_GE(1.0 - q0 / (1.0 - loss), qos.query_accuracy);
-    }
-  }
+  EXPECT_DOUBLE_EQ(delay_tail(link, 0.0), 1.0);
+  EXPECT_NEAR(delay_tail(link, 0.1), 0.3679, 1e-3);
+  EXPECT_LT(delay_tail(link, 1.0), 1e-4);
 }
 
 TEST(MistakeProbability, DecreasesWithSmallerEta) {
   const auto link = make_link(0.1, msec(10));
-  const double q_large = mistake_probability(link, delay_tail_model::exponential, 0.5, 0.5);
-  const double q_small = mistake_probability(link, delay_tail_model::exponential, 0.1, 0.9);
+  const double q_large = mistake_probability(link, 0.5, 0.5);
+  const double q_small = mistake_probability(link, 0.1, 0.9);
   EXPECT_LT(q_small, q_large);
 }
 
 TEST(MistakeProbability, PerfectLinkNearZero) {
   const auto link = make_link(0.0, usec(25));
-  const double q = mistake_probability(link, delay_tail_model::exponential, 0.5, 0.5);
+  const double q = mistake_probability(link, 0.5, 0.5);
   EXPECT_LT(q, 1e-12);
 }
 
@@ -157,8 +88,7 @@ TEST(Configurator, PredictedRecurrenceMeetsRequirement) {
   const auto link = make_link(0.1, msec(100));
   const auto params = configure(qos, link);
   ASSERT_TRUE(params.qos_feasible);
-  const double q0 = mistake_probability(link, delay_tail_model::exponential,
-                                        to_seconds(params.eta),
+  const double q0 = mistake_probability(link, to_seconds(params.eta),
                                         to_seconds(params.delta));
   const double recurrence = to_seconds(params.eta) / q0;
   EXPECT_GE(recurrence, to_seconds(qos.mistake_recurrence));
@@ -204,17 +134,6 @@ TEST(Configurator, InfeasibleFallbackKeepsDeltaAtLeastEta) {
   }
 }
 
-TEST(Configurator, ChebyshevModeIsMoreConservative) {
-  configurator_options exp_opts;
-  configurator_options cheb_opts;
-  cheb_opts.tail = delay_tail_model::chebyshev;
-  const auto link = make_link(0.01, msec(10));
-  const auto exp_params = configure(qos_spec::paper_default(), link, exp_opts);
-  const auto cheb_params = configure(qos_spec::paper_default(), link, cheb_opts);
-  // Distribution-free bounds demand at least as much redundancy.
-  EXPECT_LE(cheb_params.eta, exp_params.eta);
-}
-
 // Property sweep: on every feasible grid point the configurator's chosen
 // point satisfies both QoS constraints it claims to satisfy.
 class ConfiguratorProperty
@@ -229,7 +148,7 @@ TEST_P(ConfiguratorProperty, FeasiblePointsSatisfyConstraints) {
   const double eta_s = to_seconds(params.eta);
   const double delta_s = to_seconds(params.delta);
   const double q0 =
-      mistake_probability(link, delay_tail_model::exponential, eta_s, delta_s);
+      mistake_probability(link, eta_s, delta_s);
   EXPECT_GE(eta_s / q0, to_seconds(qos.mistake_recurrence));
   EXPECT_GE(1.0 - q0 / (1.0 - loss), qos.query_accuracy);
 }

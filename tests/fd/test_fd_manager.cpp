@@ -339,9 +339,8 @@ TEST(FdManager, LossCountsOnlyPayloadsSentToThisReceiver) {
   // This receiver is in g1 only, so it gets every other ALIVE: the
   // sender's datagram count and its g2 counter run twice as fast as g1's.
   fd_fixture f;
-  const fd_manager::options defaults;
-  const double floor = defaults.lqe.loss_floor;
-  const std::size_t epoch = defaults.lqe.loss_epoch;
+  const double floor = link_quality_estimator::kLossFloor;
+  const std::size_t epoch = link_quality_estimator::kLossEpoch;
   f.fd.add_group(g1, qos_spec::paper_default());
   std::uint64_t g1_seq = 0;
   std::uint64_t g2_seq = 0;
@@ -367,7 +366,6 @@ TEST(FdManager, LossCountsOnlyPayloadsSentToThisReceiver) {
 
 TEST(FdManager, ParamsAdaptWhenLinkDegrades) {
   fd_fixture f;
-  fd_manager::options opts;
   f.fd.add_group(g1, qos_spec::paper_default());
   std::uint64_t seq = 0;
   // Clean link first: heartbeats arrive instantly.

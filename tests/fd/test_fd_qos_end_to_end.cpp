@@ -45,7 +45,7 @@ qos_run simulate(const qos_spec& qos, double loss, duration delay,
   est.delay_mean = delay;
   est.delay_stddev = delay;  // exponential: stddev == mean
   est.samples = 1000;
-  const fd_params params = configure(qos, est, {});
+  const fd_params params = configure(qos, est);
   EXPECT_TRUE(params.qos_feasible);
 
   qos_run out;

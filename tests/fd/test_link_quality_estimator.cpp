@@ -54,10 +54,9 @@ TEST(LinkQualityEstimator, EstimatesLossProbability) {
 }
 
 TEST(LinkQualityEstimator, CleanLinkHitsLossFloor) {
-  link_quality_estimator::options opts;
-  link_quality_estimator lqe(opts);
+  link_quality_estimator lqe;
   const auto est = feed_stream(lqe, 5000, msec(100), 0.0, usec(25), 3);
-  EXPECT_DOUBLE_EQ(est.loss_probability, opts.loss_floor);
+  EXPECT_DOUBLE_EQ(est.loss_probability, link_quality_estimator::kLossFloor);
 }
 
 TEST(LinkQualityEstimator, HeavyLossEstimated) {
@@ -113,11 +112,9 @@ TEST(LinkQualityEstimator, ClockSkewClampedToZeroDelay) {
 }
 
 TEST(LinkQualityEstimator, SampleCountTracksWindow) {
-  link_quality_estimator::options opts;
-  opts.delay_window = 100;
-  link_quality_estimator lqe(opts);
+  link_quality_estimator lqe;
   feed_stream(lqe, 500, msec(10), 0.0, msec(1), 8);
-  EXPECT_EQ(lqe.estimate().samples, 100u);
+  EXPECT_EQ(lqe.estimate().samples, 256u);
   EXPECT_EQ(lqe.heartbeats_seen(), 500u);
 }
 
@@ -126,8 +123,7 @@ TEST(LinkQualityEstimator, SampleCountTracksWindow) {
 // heartbeats of groups this receiver is not sent never count as lost.
 
 TEST(LinkQualityEstimator, InterleavedContiguousStreamsStayAtTheFloor) {
-  link_quality_estimator::options opts;
-  link_quality_estimator lqe(opts);
+  link_quality_estimator lqe;
   // Stream A rides on every ALIVE, stream B (whose counter is far ahead:
   // its group is older) on every third one.
   time_point t = time_origin;
@@ -138,7 +134,8 @@ TEST(LinkQualityEstimator, InterleavedContiguousStreamsStayAtTheFloor) {
     lqe.on_sequence(ga, a_seq);
     if (a_seq % 3 == 0) lqe.on_sequence(gb, ++b_seq);
   }
-  EXPECT_DOUBLE_EQ(lqe.estimate().loss_probability, opts.loss_floor);
+  EXPECT_DOUBLE_EQ(lqe.estimate().loss_probability,
+                   link_quality_estimator::kLossFloor);
   EXPECT_EQ(lqe.heartbeats_seen(), 3000u);
 }
 
@@ -154,8 +151,7 @@ TEST(LinkQualityEstimator, StreamMissingEveryTenthSeqReadsTenPercent) {
 }
 
 TEST(LinkQualityEstimator, DroppedStreamRestartingAtOneDoesNotInflateLoss) {
-  link_quality_estimator::options opts;
-  link_quality_estimator lqe(opts);
+  link_quality_estimator lqe;
   time_point t = time_origin;
   for (std::uint64_t seq = 1001; seq <= 1100; ++seq) feed(lqe, ga, seq, t, t);
   lqe.drop_stream(ga);
@@ -163,12 +159,12 @@ TEST(LinkQualityEstimator, DroppedStreamRestartingAtOneDoesNotInflateLoss) {
     t += msec(100);
     feed(lqe, ga, seq, t, t + usec(25));
   }
-  EXPECT_DOUBLE_EQ(lqe.estimate().loss_probability, opts.loss_floor);
+  EXPECT_DOUBLE_EQ(lqe.estimate().loss_probability,
+                   link_quality_estimator::kLossFloor);
 }
 
 TEST(LinkQualityEstimator, ResetClearsEveryStream) {
-  link_quality_estimator::options opts;
-  link_quality_estimator lqe(opts);
+  link_quality_estimator lqe;
   // Two streams, each with a partial epoch far from where they resume.
   time_point t = time_origin;
   for (std::uint64_t seq = 1; seq <= 100; ++seq) {
@@ -182,7 +178,8 @@ TEST(LinkQualityEstimator, ResetClearsEveryStream) {
     feed(lqe, ga, seq, t, t + usec(25));
     lqe.on_sequence(gb, seq);
   }
-  EXPECT_DOUBLE_EQ(lqe.estimate().loss_probability, opts.loss_floor);
+  EXPECT_DOUBLE_EQ(lqe.estimate().loss_probability,
+                   link_quality_estimator::kLossFloor);
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ TEST(RateController, SlowRequestsRelaxBelowDefault) {
 }
 
 TEST(RateController, DefaultAppliesOnlyWithNoOutstandingRequests) {
-  rate_controller rc(msec(250), sec(60));
+  rate_controller rc(msec(250));
   EXPECT_EQ(rc.effective_eta(time_origin), msec(250));
   rc.on_request(node_id{1}, sec(1), time_origin);
   EXPECT_EQ(rc.effective_eta(time_origin + sec(30)), sec(1));
@@ -40,7 +40,7 @@ TEST(RateController, DefaultAppliesOnlyWithNoOutstandingRequests) {
 }
 
 TEST(RateController, MixedExpiryMinCombinesSurvivors) {
-  rate_controller rc(msec(250), sec(60));
+  rate_controller rc(msec(250));
   rc.on_request(node_id{1}, msec(50), time_origin);             // expires at 60
   rc.on_request(node_id{2}, msec(500), time_origin + sec(30));  // expires at 90
   EXPECT_EQ(rc.effective_eta(time_origin + sec(40)), msec(50));
@@ -50,14 +50,14 @@ TEST(RateController, MixedExpiryMinCombinesSurvivors) {
 }
 
 TEST(RateController, RequestsExpire) {
-  rate_controller rc(msec(250), sec(60));
+  rate_controller rc(msec(250));
   rc.on_request(node_id{1}, msec(50), time_origin);
   EXPECT_EQ(rc.effective_eta(time_origin + sec(59)), msec(50));
   EXPECT_EQ(rc.effective_eta(time_origin + sec(61)), msec(250));
 }
 
 TEST(RateController, RenewalExtendsExpiry) {
-  rate_controller rc(msec(250), sec(60));
+  rate_controller rc(msec(250));
   rc.on_request(node_id{1}, msec(50), time_origin);
   rc.on_request(node_id{1}, msec(50), time_origin + sec(50));
   EXPECT_EQ(rc.effective_eta(time_origin + sec(100)), msec(50));

@@ -26,8 +26,7 @@ struct gm_fixture {
   std::unordered_set<std::uint32_t> vouched_nodes;  // FD trust by node value
   group_maintenance gm;
 
-  explicit gm_fixture(group_maintenance::options opts = {})
-      : gm(sim, sim, n0, /*inc=*/1, opts) {
+  gm_fixture() : gm(sim, sim, n0, /*inc=*/1, {}) {
     gm.set_broadcast([this](const proto::wire_message& m) {
       broadcasts.push_back(m);
     });
@@ -200,38 +199,37 @@ TEST(GroupMaintenance, LocalLeaveBroadcastsAndForgets) {
 }
 
 TEST(GroupMaintenance, SilentMemberEvictedAfterTimeout) {
-  group_maintenance::options opts;
-  opts.eviction_after = sec(10);
-  gm_fixture f(opts);
+  gm_fixture f;
   f.gm.local_join(g1, process_id{0}, true);
   f.gm.on_hello(f.hello_from(n1, 1, g1, process_id{1}), f.sim.now());
   // The FD does not vouch for n1 (vouched_nodes empty) and it sends
-  // nothing: it must be gone after the eviction window (+ sweep period).
-  f.sim.run_until(f.sim.now() + sec(15));
+  // nothing: it must still be there inside the 30 s eviction window and
+  // gone after it (+ one 2 s sweep period).
+  f.sim.run_until(f.sim.now() + sec(25));
+  EXPECT_NE(f.gm.table(g1).find(process_id{1}), nullptr);
+  f.sim.run_until(f.sim.now() + sec(10));
   EXPECT_EQ(f.gm.table(g1).find(process_id{1}), nullptr);
 }
 
 TEST(GroupMaintenance, VouchedMemberSurvivesSilence) {
   // Omega_l followers are silent by design; the FD's node-level trust must
   // keep them from being evicted.
-  group_maintenance::options opts;
-  opts.eviction_after = sec(10);
-  gm_fixture f(opts);
+  gm_fixture f;
   f.vouched_nodes.insert(n1.value());
   f.gm.local_join(g1, process_id{0}, true);
   f.gm.on_hello(f.hello_from(n1, 1, g1, process_id{1}), f.sim.now());
-  f.sim.run_until(f.sim.now() + sec(30));
+  f.sim.run_until(f.sim.now() + sec(90));
   EXPECT_NE(f.gm.table(g1).find(process_id{1}), nullptr);
 }
 
 TEST(GroupMaintenance, RefreshPreventsEviction) {
-  group_maintenance::options opts;
-  opts.eviction_after = sec(10);
-  gm_fixture f(opts);
+  gm_fixture f;
   f.gm.local_join(g1, process_id{0}, true);
   f.gm.on_hello(f.hello_from(n1, 1, g1, process_id{1}), f.sim.now());
-  for (int i = 0; i < 6; ++i) {
-    f.sim.run_until(f.sim.now() + sec(5));
+  // Four refreshes 20 s apart span 80 s, well past the 30 s eviction
+  // window, but no gap reaches it.
+  for (int i = 0; i < 4; ++i) {
+    f.sim.run_until(f.sim.now() + sec(20));
     f.gm.on_hello(f.hello_from(n1, 1, g1, process_id{1}), f.sim.now());
   }
   EXPECT_NE(f.gm.table(g1).find(process_id{1}), nullptr);

@@ -66,11 +66,7 @@ struct scoped_fixture {
   void run_one_sweep() {
     multicasts.clear();
     broadcasts.clear();
-    sim.run_until(sim.now() + gm_opts().hello_interval + msec(1));
-  }
-
-  [[nodiscard]] group_maintenance::options gm_opts() const {
-    return group_maintenance::options{};  // defaults match construction
+    sim.run_until(sim.now() + group_maintenance::kHelloInterval + msec(1));
   }
 
   /// All (destination, entry-group) pairs of non-probe scoped HELLOs.
