@@ -1,8 +1,10 @@
 #include "adaptive/link_tracker.hpp"
 
 #include <algorithm>
-#include <vector>
 #include <cmath>
+#include <vector>
+
+#include "fd/configurator.hpp"
 
 namespace omega::adaptive {
 

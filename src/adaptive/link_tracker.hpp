@@ -27,7 +27,6 @@
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
-#include "fd/configurator.hpp"
 #include "fd/qos.hpp"
 
 namespace omega::adaptive {
