@@ -40,8 +40,7 @@ void engine::add_group(group_id group, const fd::qos_spec& qos,
   retuners_[group] = std::make_unique<retuner>(qos, cls);
   // Pin the cold-start point as the group default immediately: until the
   // tracker has confident estimates the adaptive instance behaves exactly
-  // like the frozen one (and like the continuous one, whose configurator
-  // is still warming up).
+  // like the frozen one.
   fd_.set_params_override(group, fd::cold_start_params(qos));
 }
 

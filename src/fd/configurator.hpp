@@ -38,8 +38,9 @@ namespace omega::fd {
 
 /// Grid points for eta in (0, T^U_D).
 inline constexpr int kGridSteps = 100;
-/// Below this many link samples the estimator output is not trusted and a
-/// conservative default operating point is returned instead.
+/// Below this many link samples the estimator output is not trusted:
+/// `configure` returns `cold_start_params` instead, and `fd_manager` asks
+/// for no rate on behalf of an unpinned monitor.
 inline constexpr std::size_t kMinSamples = 16;
 
 /// Pr(D > x) under the exponential tail exp(-x / E[D]) of §6.1.
@@ -68,8 +69,11 @@ inline constexpr std::size_t kMinSamples = 16;
 /// Computes the NFD-S operating point for one monitored link.
 [[nodiscard]] fd_params configure(const qos_spec& qos, const link_estimate& link);
 
-/// Conservative operating point used before the estimator has enough
-/// samples: eta = T^U_D / 4, delta = 3*T^U_D / 4.
+/// Conservative operating point eta = T^U_D / 4, delta = 3*T^U_D / 4: the
+/// frozen tuning mode's pinned plan and the adaptive retuner's fallback
+/// before its estimate is confident. `fd_manager`'s unpinned monitors never
+/// use it: a cold one asks for no rate, and its delta is T^U_D minus the
+/// announced eta like any other unpinned monitor's.
 [[nodiscard]] fd_params cold_start_params(const qos_spec& qos);
 
 }  // namespace omega::fd

@@ -54,13 +54,25 @@ void fd_manager::set_params_override(group_id group, node_id remote,
 
 void fd_manager::clear_params_override(group_id group) {
   plans_.erase(group);
+  for (auto& [node, state] : remotes_) unpin(group, *state);
 }
 
 void fd_manager::clear_params_override(group_id group, node_id remote) {
   auto it = plans_.find(group);
   if (it == plans_.end()) return;
   it->second.clear_remote(remote);
+  // A group default pins the link again on the next pass; without one the
+  // monitor returns to the detection horizon now.
+  if (it->second.group_default()) return;
   if (it->second.empty()) plans_.erase(it);
+  if (auto r = remotes_.find(remote); r != remotes_.end()) {
+    unpin(group, *r->second);
+  }
+}
+
+void fd_manager::unpin(group_id group, remote_state& state) {
+  auto it = state.monitors.find(group);
+  if (it != state.monitors.end()) it->second->set_delta(std::nullopt);
 }
 
 std::optional<fd_params> fd_manager::params_override(group_id group) const {
@@ -114,22 +126,14 @@ void fd_manager::remove_group(group_id group) {
   }
 }
 
-heartbeat_monitor& fd_manager::ensure_monitor(group_id group, node_id remote,
+heartbeat_monitor& fd_manager::ensure_monitor(group_id group,
+                                              const qos_spec& qos,
+                                              node_id remote,
                                               remote_state& state) {
   auto it = state.monitors.find(group);
   if (it == state.monitors.end()) {
-    auto qos_it = groups_.find(group);
-    const qos_spec qos = qos_it != groups_.end() ? qos_it->second : qos_spec{};
-    const fd_params params = [&] {
-      auto p = state.params.find(group);
-      if (p != state.params.end()) return p->second;
-      if (auto plan = plans_.find(group); plan != plans_.end()) {
-        if (auto resolved = plan->second.resolve(remote)) return *resolved;
-      }
-      return cold_start_params(qos);
-    }();
     auto monitor = std::make_unique<heartbeat_monitor>(
-        clock_, timers_, params.delta, [this, group, remote](bool trusted) {
+        clock_, timers_, qos.detection_time, [this, group, remote](bool trusted) {
           // Causal root when the edge fires from the monitor's own timeout
           // (a suspicion is spontaneous evidence); a trust edge raised while
           // handling an ALIVE is already inside the datagram's activation
@@ -164,6 +168,9 @@ heartbeat_monitor& fd_manager::ensure_monitor(group_id group, node_id remote,
           }
           if (on_transition_) on_transition_(group, remote, trusted);
         });
+    if (auto pinned = params_override(group, remote)) {
+      monitor->set_delta(pinned->delta);
+    }
     it = state.monitors.emplace(group, std::move(monitor)).first;
   }
   return *it->second;
@@ -179,13 +186,14 @@ void fd_manager::on_alive(const proto::alive_msg& msg, time_point recv_time) {
   if (msg.inc < state.inc) return;  // stale incarnation: drop entirely
   if (msg.inc > state.inc) {
     // The node restarted: its old stream statistics and freshness no longer
-    // describe this incarnation.
+    // describe this incarnation, and it holds none of our rate requests.
     state.inc = msg.inc;
     state.lqe.reset();
     forget_trust(msg.from, state);
     state.monitors.clear();
     state.params.clear();
     state.hot.clear();
+    state.last_requested_eta = duration{0};
   }
   // Node-level inter-arrival gap, taken before last_heard is overwritten;
   // observed below once per distinct QoS class among the carried groups.
@@ -210,8 +218,10 @@ void fd_manager::on_alive(const proto::alive_msg& msg, time_point recv_time) {
       }
     }
     if (entry == nullptr) {
-      if (groups_.find(payload.group) == groups_.end()) continue;  // not ours
-      heartbeat_monitor* mon = &ensure_monitor(payload.group, msg.from, state);
+      auto git = groups_.find(payload.group);
+      if (git == groups_.end()) continue;  // not ours
+      heartbeat_monitor* mon =
+          &ensure_monitor(payload.group, git->second, msg.from, state);
       state.hot.push_back({payload.group, mon, interarrival_cell(payload.group)});
       entry = &state.hot.back();
     }
@@ -333,15 +343,18 @@ void fd_manager::reconfigure_remote(node_id remote, remote_state& state) {
     auto git = groups_.find(group);
     if (git == groups_.end()) continue;
     // Per-(group, remote) resolution: plan refinement > plan group default
-    // > the configurator solved against *this* remote's link estimate.
-    const fd_params params = [&] {
-      if (auto plan = plans_.find(group); plan != plans_.end()) {
-        if (auto resolved = plan->second.resolve(remote)) return *resolved;
-      }
-      return configure(git->second, link);
-    }();
-    state.params[group] = params;
-    monitor->set_delta(params.delta);
+    // pin (eta, delta). An unpinned monitor keeps delta = T^U_D - the
+    // announced eta and only picks the eta it asks for, solved against
+    // *this* remote's link estimate; while that estimate is cold it asks
+    // for nothing, so a newcomer never pulls a settled sender's rate.
+    if (auto pinned = params_override(group, remote)) {
+      state.params[group] = *pinned;
+      monitor->set_delta(pinned->delta);
+    } else if (link.samples >= kMinSamples) {
+      state.params[group] = configure(git->second, link);
+    } else {
+      state.params.erase(group);
+    }
   }
   renegotiate_rate(remote, state, clock_.now());
 }
@@ -388,16 +401,14 @@ link_estimate fd_manager::link_quality(node_id remote) const {
 }
 
 fd_params fd_manager::current_params(group_id group, node_id remote) const {
-  if (auto plan = plans_.find(group); plan != plans_.end()) {
-    if (auto resolved = plan->second.resolve(remote)) return *resolved;
+  if (auto pinned = params_override(group, remote)) return *pinned;
+  if (auto it = remotes_.find(remote); it != remotes_.end()) {
+    auto p = it->second->params.find(group);
+    if (p != it->second->params.end()) return p->second;
   }
   auto git = groups_.find(group);
   const qos_spec qos = git != groups_.end() ? git->second : qos_spec{};
-  auto it = remotes_.find(remote);
-  if (it == remotes_.end()) return cold_start_params(qos);
-  auto p = it->second->params.find(group);
-  if (p == it->second->params.end()) return cold_start_params(qos);
-  return p->second;
+  return fd_params{duration{0}, qos.detection_time, false};
 }
 
 duration fd_manager::requested_eta(node_id remote) const {

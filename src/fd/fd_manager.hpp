@@ -3,13 +3,18 @@
 // One fd_manager per workstation monitors every remote node the local
 // groups care about, sharing a single link-quality estimator per remote
 // across all groups (the cost-sharing idea of the Deianov-Toueg FD service
-// architecture). Per (remote, group) it runs an NFD-S heartbeat monitor
-// whose delta comes from the group's QoS via the configurator; a periodic
-// reconfiguration pass re-runs the configurator against each remote's own
-// fresh link estimate — this is what makes the detector adapt to changing
+// architecture). Per (remote, group) it runs an NFD-S heartbeat monitor.
+// Unless a tuning plan pins its delta, a monitor trusts a heartbeat until
+// its send time + the group's T^U_D (delta = T^U_D - the announced eta), so
+// every monitor of one sender in one group suspects it at the same
+// instant. A periodic reconfiguration pass re-runs the configurator
+// against each remote's own fresh link estimate to pick the eta each
+// monitor asks for — this is what makes the detector adapt to changing
 // network conditions — and renegotiates the senders' heartbeat rates with
-// hysteresis. The unit of configuration is (group, remote): an external
-// tuning policy pins operating points through a layered `param_plan`
+// hysteresis. A monitor whose estimate holds fewer than `kMinSamples`
+// samples asks for nothing, so a newcomer never pulls a settled sender to
+// a cold-start rate. The unit of configuration is (group, remote): an
+// external tuning policy pins operating points through a layered `param_plan`
 // (group default + per-remote refinement), so one bad WAN link never drags
 // every clean LAN link in the group down to the worst link's delta.
 // Loss is counted per (remote, group) heartbeat stream, since a remote
@@ -113,14 +118,18 @@ class fd_manager {
   /// Current link estimate for a remote (defaults if never heard).
   [[nodiscard]] link_estimate link_quality(node_id remote) const;
 
-  /// Operating point for (group, remote): override, configured, or
-  /// cold-start default — in that order.
+  /// Operating point for (group, remote): the plan's pinned point, else
+  /// the configured eta this monitor asks for with delta = T^U_D - eta.
+  /// An unpinned monitor that asks for nothing yet (cold estimate, unknown
+  /// remote) reads eta 0 and delta T^U_D, its horizon.
   [[nodiscard]] fd_params current_params(group_id group, node_id remote) const;
 
   /// Pins the *group-default* layer of the group's operating-point plan:
   /// the periodic reconfiguration pass stops consulting the configurator
   /// for (group, remote) pairs the plan covers and applies the resolved
   /// params (monitor deltas immediately, sender rates on the next pass).
+  /// A pinned monitor trusts a heartbeat sent at s with interval eta until
+  /// s + eta + the pinned delta.
   /// This is how an external tuning policy — the adaptation engine, or a
   /// frozen baseline — takes over from the built-in per-tick configurator.
   /// Remotes with a per-remote refinement keep their refinement.
@@ -128,10 +137,12 @@ class fd_manager {
   /// Pins the operating point of one (group, remote) link — the per-remote
   /// refinement layer. Takes precedence over the group default.
   void set_params_override(group_id group, node_id remote, fd_params params);
-  /// Clears the whole plan of a group (default and all refinements).
+  /// Clears the whole plan of a group (default and all refinements); its
+  /// monitors return to delta = T^U_D - eta at once.
   void clear_params_override(group_id group);
   /// Clears one per-remote refinement; the group default (if any) applies
-  /// again on the next reconfiguration pass.
+  /// again on the next reconfiguration pass, else the monitor returns to
+  /// delta = T^U_D - eta at once.
   void clear_params_override(group_id group, node_id remote);
   /// The group-default layer, if pinned.
   [[nodiscard]] std::optional<fd_params> params_override(group_id group) const;
@@ -141,7 +152,8 @@ class fd_manager {
                                                          node_id remote) const;
 
   /// The sending interval this manager currently asks `remote` to use
-  /// (minimum over local groups). Zero if unknown remote.
+  /// (minimum over local groups). Zero if it has asked this incarnation
+  /// for nothing yet (unknown remote, or its estimate is still cold).
   [[nodiscard]] duration requested_eta(node_id remote) const;
 
   /// Number of live (trusted or recently heard) monitors, for introspection.
@@ -158,6 +170,9 @@ class fd_manager {
     incarnation inc = 0;
     link_quality_estimator lqe;
     std::unordered_map<group_id, std::unique_ptr<heartbeat_monitor>> monitors;
+    /// Per monitored group: the pinned point, or the configured one once
+    /// the estimate is warm. Absent while an unpinned monitor's estimate
+    /// is cold, so that monitor has no say in the remote's rate.
     std::unordered_map<group_id, fd_params> params;
     /// Positive-only lookup cache for the per-ALIVE hot path: (group,
     /// monitor, inter-arrival cell) triples known to be registered and
@@ -185,8 +200,11 @@ class fd_manager {
   /// the periodic refresh is due). Called from the reconfiguration pass and
   /// immediately from `drop`.
   void renegotiate_rate(node_id remote, remote_state& state, time_point now);
-  heartbeat_monitor& ensure_monitor(group_id group, node_id remote,
-                                    remote_state& state);
+  heartbeat_monitor& ensure_monitor(group_id group, const qos_spec& qos,
+                                    node_id remote, remote_state& state);
+  /// Returns the (group, remote) monitor in `state`, if any, to
+  /// delta = T^U_D - eta once no plan layer pins it.
+  void unpin(group_id group, remote_state& state);
 
   static constexpr std::uint64_t trust_key(group_id group, node_id remote) {
     return (static_cast<std::uint64_t>(group.value()) << 32) |

@@ -5,17 +5,17 @@
 namespace omega::fd {
 
 heartbeat_monitor::heartbeat_monitor(clock_source& clock, timer_service& timers,
-                                     duration delta,
+                                     duration detection_time,
                                      std::function<void(bool)> on_transition)
     : clock_(clock),
       timer_(timers),
-      delta_(delta),
+      detection_time_(detection_time),
       on_transition_(std::move(on_transition)) {}
 
 void heartbeat_monitor::on_heartbeat(time_point send_time, duration sender_eta) {
-  ever_heard_ = true;
   last_heartbeat_ = clock_.now();
-  const time_point fresh_until = send_time + sender_eta + delta_;
+  const duration delta = pinned_delta_.value_or(detection_time_ - sender_eta);
+  const time_point fresh_until = send_time + sender_eta + delta;
   if (fresh_until <= deadline_ && trusted_) return;  // stale / reordered
   if (fresh_until <= clock_.now()) return;           // already expired in flight
   deadline_ = std::max(deadline_, fresh_until);

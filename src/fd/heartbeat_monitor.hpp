@@ -7,9 +7,17 @@
 // suspects when the local clock passes it. The sender's current eta is
 // taken from each ALIVE message, so rate renegotiation never desynchronizes
 // the two sides.
+//
+// delta has one source per monitor. A tuning plan may pin it; otherwise it
+// is the group's detection bound minus the eta the heartbeat announces,
+// delta = T^U_D - eta, so a heartbeat sent at s is fresh until exactly
+// s + T^U_D whatever interval the sender runs at. Every unpinned monitor of
+// one sender in one group therefore suspects it at the same instant, T^U_D
+// after its last heartbeat.
 #pragma once
 
 #include <functional>
+#include <optional>
 
 #include "common/executor.hpp"
 #include "common/time.hpp"
@@ -18,9 +26,11 @@ namespace omega::fd {
 
 class heartbeat_monitor {
  public:
-  /// `on_transition(trusted)` fires on every trust <-> suspect edge,
-  /// including the initial trust when the first heartbeat arrives.
-  heartbeat_monitor(clock_source& clock, timer_service& timers, duration delta,
+  /// `detection_time` is the group's T^U_D, the horizon of an unpinned
+  /// monitor. `on_transition(trusted)` fires on every trust <-> suspect
+  /// edge, including the initial trust when the first heartbeat arrives.
+  heartbeat_monitor(clock_source& clock, timer_service& timers,
+                    duration detection_time,
                     std::function<void(bool)> on_transition);
 
   heartbeat_monitor(const heartbeat_monitor&) = delete;
@@ -29,9 +39,10 @@ class heartbeat_monitor {
   /// Feeds one received heartbeat (sender timestamp + sender's interval).
   void on_heartbeat(time_point send_time, duration sender_eta);
 
-  /// Updates the freshness shift; applies to subsequent heartbeats.
-  void set_delta(duration delta) { delta_ = delta; }
-  [[nodiscard]] duration delta() const { return delta_; }
+  /// Pins delta (a tuning plan's operating point), or with nullopt derives
+  /// it from each heartbeat as T^U_D - eta. Applies to subsequent
+  /// heartbeats.
+  void set_delta(std::optional<duration> delta) { pinned_delta_ = delta; }
 
   [[nodiscard]] bool trusted() const { return trusted_; }
   /// Time the current freshness expires (meaningful while trusted).
@@ -46,10 +57,10 @@ class heartbeat_monitor {
 
   clock_source& clock_;
   scoped_timer timer_;
-  duration delta_;
+  duration detection_time_;
+  std::optional<duration> pinned_delta_;
   std::function<void(bool)> on_transition_;
   bool trusted_ = false;
-  bool ever_heard_ = false;
   time_point deadline_{};
   time_point last_heartbeat_{};
 };

@@ -6,8 +6,9 @@
 // optional group-wide default under per-remote refinements:
 //
 //   resolve(remote) = per-remote refinement, else group default, else
-//                     nothing (the caller falls through to the per-link
-//                     configurator / cold start).
+//                     nothing (the monitor is unpinned: delta = T^U_D - eta,
+//                     and the per-link configurator picks the eta it asks
+//                     for once the link estimate is warm).
 //
 // `fd_manager` keeps one plan per group; the adaptation engine writes the
 // group default from its robust cluster aggregate and refines per remote

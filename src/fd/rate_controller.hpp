@@ -8,10 +8,13 @@
 // request is outstanding (cold start, or every monitor gone): outstanding
 // requests drive the rate in *both* directions, so a cluster whose
 // monitors all relaxed — per-remote refinements on good links, or a
-// background-class group — actually sends fewer heartbeats. Monitors stay
-// safe under a slower-than-expected stream because every ALIVE carries the
-// sender's current eta and freshness adapts to it. Requests expire so that
-// a crashed monitor's demand does not pin a rate forever.
+// background-class group — actually sends fewer heartbeats. Every ALIVE
+// carries the sender's current eta, so monitors never desynchronize: an
+// unpinned monitor spends what the announced eta leaves of its detection
+// bound on delta (delta = T^U_D - eta) and still suspects T^U_D after the
+// last heartbeat, and a pinned one adds its pinned delta to the announced
+// eta. Requests expire so that a crashed monitor's demand does not pin a
+// rate forever.
 #pragma once
 
 #include <unordered_map>

@@ -191,14 +191,15 @@ bool leader_election_service::join_group(process_id pid, group_id group,
       election::make_elector(options.alg.value_or(config_.alg), std::move(ctx));
   gs.last_self_acc = gs.elector->self_accusation_time();
   gs.on_change = std::move(on_change);
-  auto [it, inserted] = groups_.emplace(group, std::move(gs));
+  groups_.emplace(group, std::move(gs));
 
   gm_.local_join(group, pid, options.candidate);  // broadcasts HELLO
   reevaluate(group);
-  // Re-find: the reevaluation's leader callback may re-enter join_group /
-  // leave_group (the hierarchy coordinator promotes from it), and a map
-  // insert can rehash `it` away. Element *references* survive rehashing —
-  // reevaluate's internal reference is safe — but iterators do not.
+  // Look the group up again: the reevaluation's leader callback may re-enter
+  // join_group / leave_group (the hierarchy coordinator promotes from it),
+  // and a map insert can rehash iterators away. Element *references*
+  // survive rehashing — reevaluate's internal reference is safe — but
+  // iterators do not.
   auto post = groups_.find(group);
   if (post != groups_.end() && post->second.was_sending) schedule_alive();
   return true;

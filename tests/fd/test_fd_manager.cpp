@@ -156,6 +156,89 @@ TEST(FdManager, PerGroupMonitorsShareOneEstimator) {
   EXPECT_EQ(f.fd.monitor_count(), 2u);
 }
 
+TEST(FdManager, ColdMonitorSuspectsAtLastHeartbeatPlusDetectionTime) {
+  // The sender's first ALIVE creates the monitor. Whatever the announced
+  // interval, an unpinned monitor trusts it until send time + T^U_D: a
+  // cold-start delta of 3/4 T^U_D on top of a 490 ms interval would trust
+  // it until s + 1.24 s, past the 1 s bound.
+  fd_fixture f;
+  f.fd.add_group(g1, qos_spec::paper_default());  // T^U_D = 1 s
+  const time_point sent = f.sim.now();
+  f.fd.on_alive(f.alive(1, 1, msec(490)), sent);
+  f.sim.run_until(sent + msec(999));
+  EXPECT_TRUE(f.fd.is_trusted(g1, remote));
+  f.sim.run_until(sent + sec(1));
+  EXPECT_FALSE(f.fd.is_trusted(g1, remote));
+}
+
+TEST(FdManager, WarmMonitorSuspectsAtLastHeartbeatPlusDetectionTime) {
+  // A warm monitor asks for its configured eta, but the sender may run
+  // faster for another monitor: delta follows the announced eta, so the
+  // horizon stays send time + T^U_D.
+  fd_fixture f;
+  f.fd.add_group(g1, qos_spec::paper_default());
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 40; ++i) {
+    f.fd.on_alive(f.alive(1, ++seq, msec(250)), f.sim.now());
+    f.sim.run_until(f.sim.now() + msec(250));
+  }
+  ASSERT_GT(f.fd.requested_eta(remote), msec(250));
+  const time_point last = f.sim.now();
+  f.fd.on_alive(f.alive(1, ++seq, msec(250)), last);
+  f.sim.run_until(last + msec(999));
+  EXPECT_TRUE(f.fd.is_trusted(g1, remote));
+  f.sim.run_until(last + sec(1));
+  EXPECT_FALSE(f.fd.is_trusted(g1, remote));
+}
+
+TEST(FdManager, ColdMonitorSendsNoRateRequest) {
+  // Until the link estimate holds kMinSamples samples an unpinned monitor
+  // has no say in the sender's rate; then it asks once, for the eta the
+  // configurator solves from the estimate.
+  fd_fixture f;
+  f.fd.add_group(g1, qos_spec::paper_default());
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 40; ++i) {
+    f.fd.on_alive(f.alive(1, ++seq, msec(250)), f.sim.now());
+    f.sim.run_until(f.sim.now() + msec(250));
+    if (f.fd.link_quality(remote).samples < kMinSamples) {
+      EXPECT_TRUE(f.rate_requests.empty()) << "after ALIVE " << seq;
+      EXPECT_EQ(f.fd.current_params(g1, remote).eta, duration{0});
+    }
+  }
+  ASSERT_EQ(f.rate_requests.size(), 1u);
+  const fd_params configured =
+      configure(qos_spec::paper_default(), f.fd.link_quality(remote));
+  EXPECT_EQ(f.rate_requests[0].first, remote);
+  EXPECT_EQ(f.rate_requests[0].second, configured.eta);
+  EXPECT_EQ(f.fd.current_params(g1, remote), configured);
+}
+
+TEST(FdManager, RestartedSenderIsAskedAgainOnceWarm) {
+  // A new incarnation holds none of this monitor's requests: once warm
+  // again, the same eta must go out, not wait out the refresh period.
+  fd_fixture f;
+  f.fd.add_group(g1, qos_spec::paper_default());
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 40; ++i) {
+    f.fd.on_alive(f.alive(1, ++seq, msec(250)), f.sim.now());
+    f.sim.run_until(f.sim.now() + msec(250));
+  }
+  ASSERT_EQ(f.rate_requests.size(), 1u);
+  const duration asked = f.rate_requests[0].second;
+  f.rate_requests.clear();
+  seq = 0;
+  for (int i = 0; i < 40; ++i) {
+    f.fd.on_alive(f.alive(2, ++seq, msec(250)), f.sim.now());
+    f.sim.run_until(f.sim.now() + msec(250));
+    if (f.fd.link_quality(remote).samples < kMinSamples) {
+      EXPECT_TRUE(f.rate_requests.empty()) << "after ALIVE " << seq;
+    }
+  }
+  ASSERT_EQ(f.rate_requests.size(), 1u);
+  EXPECT_EQ(f.rate_requests[0].second, asked);
+}
+
 TEST(FdManager, TighterGroupDrivesRateRequest) {
   fd_fixture f;
   f.fd.add_group(g1, qos_spec::paper_default());  // 1 s bound
@@ -320,6 +403,25 @@ TEST(FdManager, DropRenegotiatesRateImmediately) {
   }
   EXPECT_EQ(f.fd.requested_eta(remote), relaxed)
       << "the dropped group's rate must not be re-pinned by the next pass";
+}
+
+TEST(FdManager, ClearedPlanReturnsMonitorsToTheDetectionHorizon) {
+  fd_fixture f;
+  f.fd.add_group(g1, qos_spec::paper_default());
+  f.fd.set_params_override(g1, remote, fd_params{msec(100), msec(200), true});
+  f.fd.on_alive(f.alive(1, 1, msec(100)), f.sim.now());
+  f.sim.run_until(f.sim.now() + msec(299));
+  EXPECT_TRUE(f.fd.is_trusted(g1, remote));
+  f.sim.run_until(f.sim.now() + msec(1));
+  EXPECT_FALSE(f.fd.is_trusted(g1, remote)) << "pinned: s + eta + delta";
+
+  f.fd.clear_params_override(g1, remote);
+  const time_point sent = f.sim.now();
+  f.fd.on_alive(f.alive(1, 2, msec(100)), sent);
+  f.sim.run_until(sent + msec(999));
+  EXPECT_TRUE(f.fd.is_trusted(g1, remote)) << "unpinned: s + T^U_D";
+  f.sim.run_until(sent + sec(1));
+  EXPECT_FALSE(f.fd.is_trusted(g1, remote));
 }
 
 TEST(FdManager, DropNodeClearsPerRemoteRefinements) {

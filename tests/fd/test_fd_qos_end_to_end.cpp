@@ -54,7 +54,9 @@ qos_run simulate(const qos_spec& qos, double loss, duration delay,
   time_point last_edge = sim.now();
   time_point crash_at{};
 
-  heartbeat_monitor monitor(sim, sim, params.delta, [&](bool now_trusted) {
+  // Unpinned, the monitor applies delta = T^U_D - eta, the configured delta
+  // for the sender's configured eta.
+  heartbeat_monitor monitor(sim, sim, qos.detection_time, [&](bool now_trusted) {
     const time_point t = sim.now();
     if (trusted && sender_alive) {
       out.trusted_seconds += to_seconds(t - last_edge);

@@ -14,9 +14,17 @@ class MonitorTest : public ::testing::Test {
   sim::simulator sim;
   std::vector<bool> transitions;
 
-  std::unique_ptr<heartbeat_monitor> make(duration delta) {
+  /// A monitor with a 1 s detection bound.
+  std::unique_ptr<heartbeat_monitor> make_unpinned() {
     return std::make_unique<heartbeat_monitor>(
-        sim, sim, delta, [this](bool trusted) { transitions.push_back(trusted); });
+        sim, sim, sec(1), [this](bool trusted) { transitions.push_back(trusted); });
+  }
+
+  /// A monitor whose delta a tuning plan pinned.
+  std::unique_ptr<heartbeat_monitor> make(duration delta) {
+    auto m = make_unpinned();
+    m->set_delta(delta);
+    return m;
   }
 };
 
@@ -96,6 +104,31 @@ TEST_F(MonitorTest, DeltaUpdateAffectsSubsequentHeartbeats) {
   sim.run_until(time_origin + msec(50));
   m->on_heartbeat(sim.now(), msec(100));
   EXPECT_EQ(m->deadline(), time_origin + msec(50) + msec(1000));
+}
+
+TEST_F(MonitorTest, UnpinnedMonitorTrustsUntilSendPlusDetectionTime) {
+  // delta = T^U_D - eta: whatever interval the sender announces, a
+  // heartbeat sent at s is fresh until s + 1 s.
+  for (const duration eta : {msec(250), msec(490), msec(990)}) {
+    auto m = make_unpinned();
+    const time_point sent = sim.now();
+    m->on_heartbeat(sent, eta);
+    EXPECT_EQ(m->deadline(), sent + sec(1)) << "eta " << to_seconds(eta);
+    sim.run_until(sent + msec(999));
+    EXPECT_TRUE(m->trusted());
+    sim.run_until(sent + sec(1));
+    EXPECT_FALSE(m->trusted());
+  }
+}
+
+TEST_F(MonitorTest, ClearedPinReturnsToTheDetectionHorizon) {
+  auto m = make(msec(900));
+  m->on_heartbeat(sim.now(), msec(250));
+  EXPECT_EQ(m->deadline(), time_origin + msec(1150));
+  m->set_delta(std::nullopt);
+  sim.run_until(time_origin + msec(500));
+  m->on_heartbeat(sim.now(), msec(250));
+  EXPECT_EQ(m->deadline(), time_origin + msec(1500));
 }
 
 TEST_F(MonitorTest, SuspectExactlyOncePerSilence) {

@@ -96,9 +96,13 @@ std::string run_golden_trace(bool causal = false) {
 // Golden fingerprint of the run above, captured from the pre-rewrite
 // (seed-semantics) simulator. OMEGA_GOLDEN_* below were produced by the
 // heap-of-std::function simulator with per-destination payload copies; the
-// zero-copy hot path must reproduce them exactly.
-constexpr std::uint64_t kGoldenTraceHash = 0xd5c43d67bcaff419ull;
-constexpr std::size_t kGoldenTraceBytes = 7913082;
+// zero-copy hot path must reproduce them exactly. Re-pinned once, with the
+// stamped value below, for an intended protocol change: an unpinned
+// monitor's delta became T^U_D minus the announced eta (every survivor
+// suspects the dead leader at its last heartbeat + T^U_D), and a monitor
+// with a cold estimate stopped requesting the cold-start rate.
+constexpr std::uint64_t kGoldenTraceHash = 0x815512182ae4926eull;
+constexpr std::size_t kGoldenTraceBytes = 7924386;
 
 TEST(GoldenTrace, Scoped3RunMatchesSeedSemantics) {
   const std::string jsonl = run_golden_trace();
@@ -122,8 +126,8 @@ TEST(GoldenTrace, TwoRunsAreByteIdentical) {
 // not perturb the event timeline (stamps ride existing datagrams; the sim's
 // link delays are size-independent), so the JSONL differs from the golden
 // stream only by the added "cause" fields — pinned separately.
-constexpr std::uint64_t kGoldenStampedHash = 0x1b124e21fa904b04ull;
-constexpr std::size_t kGoldenStampedBytes = 9384167;
+constexpr std::uint64_t kGoldenStampedHash = 0x1b55e89fa4f5d9bdull;
+constexpr std::size_t kGoldenStampedBytes = 9397100;
 
 TEST(GoldenTrace, StampedRunHasItsOwnPinnedFingerprint) {
   const std::string jsonl = run_golden_trace(/*causal=*/true);

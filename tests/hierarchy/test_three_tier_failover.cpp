@@ -7,6 +7,7 @@
 
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "hierarchy/coordinator.hpp"
@@ -323,6 +324,62 @@ TEST(ThreeTierFailover, KillLoopKeepsListenerLossAtFloor) {
       exp.recover_node(victim);
     }
     EXPECT_EQ(exp.group().unjustified_demotions(), 0u);
+  }
+}
+
+TEST(ThreeTierFailover, SurvivorsSuspectTheDeadGlobalLeaderTogether) {
+  // A failover ends when the last survivor drops the dead leader. Each
+  // unpinned monitor trusts a heartbeat until its send time + T^U_D, so
+  // the survivors, which all got the leader's last ALIVE, suspect it at
+  // one instant. A larger delta on the cold monitors of recently
+  // recovered nodes would put them behind the rest.
+  fd::qos_spec qos;
+  qos.detection_time = sec(1);
+  qos.mistake_recurrence = std::chrono::duration_cast<duration>(std::chrono::hours(2));
+  qos.query_accuracy = 0.9999;
+  scenario sc = three_tier_sc();
+  sc.hierarchy.scoped_hello = true;
+  sc.qos = qos;
+  sc.hierarchy.global_qos = qos;
+  experiment exp(sc);
+  auto& sim = exp.simulator();
+  const group_id global_group = exp.topo()->group_at(node_id{0}, 2);
+  sim.run_until(time_origin + sec(30));
+  for (int kill = 0; kill < 12; ++kill) {
+    sim.run_until(time_origin + sec(30) + msec(4500) * kill);
+    const auto leader = exp.group().agreed_leader();
+    ASSERT_TRUE(leader.has_value()) << "no agreed leader at kill " << kill;
+    const node_id victim{leader->value()};
+    std::vector<node_id> watchers;  // live nodes trusting the leader now
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      auto* svc = exp.node_service(node_id{i});
+      if (svc == nullptr || node_id{i} == victim) continue;
+      if (svc->failure_detector().is_trusted(global_group, victim)) {
+        watchers.push_back(node_id{i});
+      }
+    }
+    ASSERT_EQ(watchers.size(), kNodes - 1) << "kill " << kill;
+    exp.crash_node(victim);
+    const time_point crash = sim.now();
+    std::optional<time_point> first;
+    std::optional<time_point> last;
+    while (!watchers.empty() && sim.now() < crash + sec(2)) {
+      sim.run_until(sim.now() + msec(1));
+      std::erase_if(watchers, [&](node_id n) {
+        if (exp.node_service(n)->failure_detector().is_trusted(global_group, victim)) {
+          return false;
+        }
+        if (!first) first = sim.now();
+        last = sim.now();
+        return true;
+      });
+    }
+    ASSERT_TRUE(watchers.empty()) << "kill " << kill;
+    EXPECT_LE(*last - *first, msec(5))
+        << "kill " << kill << ": suspicions spread over "
+        << to_seconds(*last - *first) * 1e3 << " ms";
+    sim.run_until(crash + msec(1500));
+    exp.recover_node(victim);
   }
 }
 
