@@ -27,7 +27,11 @@ cmake --build .bench_build/cmake --target e2ebench e2ebench_selftest -j
 # successor and timing, plus event, datagram and byte counts), so a src/
 # change that keeps protocol behaviour keeps the value. Same contract as
 # tests/harness/test_golden_trace.cpp.
-sim_fingerprint=6244c9dabd491200
+# Re-pinned from 6244c9dabd491200 when each ALIVE began to carry only the
+# payloads of the groups whose tables hold its destination, and roster-mode
+# listeners began to follow live candidacy claims (HELLOs to live candidates
+# only, candidates-only snapshots).
+sim_fingerprint=8a0ead22f030c7a7
 sim_notes="$(python3 e2ebench/run.py --workload sim_hier_failover --seed 7 \
   --seconds 30 --trace 0)"
 if ! grep -q "^fingerprint ${sim_fingerprint} " <<< "$sim_notes"; then
@@ -49,7 +53,11 @@ host_reference="$(grep -m1 '^host reference .* ms wall ' <<< "$sim_notes" || tru
 # demotions). The same run gates the detection horizon: every survivor
 # suspects the dead leader at its last heartbeat + T^U_D, so the time from
 # the survivors' first view change to agreement (election.converge_ms_mean)
-# stays near zero; per-monitor deltas spread it over ~240 ms.
+# stays near zero; per-monitor deltas spread it over ~240 ms. And it gates
+# the scoped membership traffic: a listener HELLOs only candidates with a
+# live own claim and gets candidates-only snapshots, so a HELLO_ACK averages
+# ~341 B (2363 B while snapshots carried whole tables) and a node sends
+# ~16.9 HELLOs/s (24.7 while stale candidate flags drew listener HELLOs).
 traced_result="$(python3 e2ebench/run.py --workload sim_hier_failover --seed 7 \
   --seconds 30 --trace 1 | tail -n 1)" || {
   echo "ci.sh: traced sim_hier_failover seed 7 did not produce a result" >&2
@@ -73,8 +81,29 @@ if ! python3 -c 'import sys; sys.exit(0 if float(sys.argv[1]) < 50 else 1)' \
     "survivors no longer suspect a dead leader together" >&2
   exit 1
 fi
+hello_ack_bytes="$(python3 -c 'import json, sys
+print(json.loads(sys.argv[1])["metrics"]["proto.bytes.hello_ack"]["value"])' \
+  "$traced_result")"
+hello_rate="$(python3 -c 'import json, sys
+print(json.loads(sys.argv[1])["metrics"]["membership.hello_per_node_s"]["value"])' \
+  "$traced_result")"
+if ! python3 -c 'import sys; sys.exit(0 if float(sys.argv[1]) < 1000 else 1)' \
+  "$hello_ack_bytes"; then
+  echo "ci.sh: traced sim_hier_failover seed 7 reports" \
+    "proto.bytes.hello_ack ${hello_ack_bytes} B, expected < 1000: snapshots" \
+    "to listeners carry more than the live candidates" >&2
+  exit 1
+fi
+if ! python3 -c 'import sys; sys.exit(0 if float(sys.argv[1]) < 20 else 1)' \
+  "$hello_rate"; then
+  echo "ci.sh: traced sim_hier_failover seed 7 reports" \
+    "membership.hello_per_node_s ${hello_rate}, expected < 20: listeners" \
+    "HELLO candidates without a live claim" >&2
+  exit 1
+fi
 echo "ci.sh: traced sim_hier_failover seed 7: 0 unjustified leader changes," \
-  "converge_ms_mean ${converge_ms} ms"
+  "converge_ms_mean ${converge_ms} ms, hello_ack ${hello_ack_bytes} B," \
+  "${hello_rate} HELLOs/node/s"
 
 # The live runtime under the churn it serves: 256 real-UDP services whose
 # group leaders are killed and restarted for 30 s, on the loop's timer path.
@@ -226,7 +255,9 @@ for row in data["rosters"]:
 # Re-pinned from 6264.6 when unpinned FD monitors took delta = T^U_D minus
 # the announced eta and cold monitors stopped requesting T^U_D/4: senders
 # settle at their warm monitors' eta (~2.0 instead of ~3.8 ALIVEs/node/s).
-BASELINE_120_SCOPED3 = 4204.5  # msgs/s, hours=0.2 seed=42
+# Re-pinned from 4204.5 when roster-mode listeners began to HELLO only
+# candidates with a live own claim (1545.0 -> 1309.5 HELLOs/s).
+BASELINE_120_SCOPED3 = 3964.6  # msgs/s, hours=0.2 seed=42
 if (os.environ.get("OMEGA_BENCH_HOURS") == "0.2"
         and os.environ.get("OMEGA_BENCH_SEED") == "42"):
     row120 = next((r for r in data["rosters"] if r["nodes"] == 120), None)

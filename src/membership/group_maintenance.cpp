@@ -8,6 +8,11 @@ namespace omega::membership {
 
 namespace {
 const member_table empty_table{};
+
+/// A candidate whose own claim is younger than `kClaimLifetime`.
+bool live_candidate(const member_info& m, time_point now) {
+  return m.candidate && m.last_claim > now - group_maintenance::kClaimLifetime;
+}
 }  // namespace
 
 group_maintenance::group_maintenance(clock_source& clock, timer_service& timers,
@@ -47,13 +52,16 @@ void group_maintenance::scoped_announce(group_id group) {
 }
 
 std::vector<node_id> group_maintenance::snapshot_targets(group_id preferred) {
-  // Prefer peers of the group being (re)announced — only they can answer
-  // with entries about it — then any tracked peer (warm snapshots for the
+  // Prefer the live candidates of the group being (re)announced — they
+  // announce to its whole roster, so only they are sure to hold all of it —
+  // then its other peers, then any tracked peer (warm snapshots for the
   // other groups), then roster rotation for the very first join.
   std::vector<node_id> targets;
   std::unordered_set<node_id> seen;
-  const auto take_from = [&](const member_table& table) {
+  const time_point now = clock_.now();
+  const auto take_from = [&](const member_table& table, bool live_only) {
     for (const member_info& m : table.members_view()) {
+      if (live_only && !live_candidate(m, now)) continue;
       if (m.node == self_ || !seen.insert(m.node).second) continue;
       targets.push_back(m.node);
       if (targets.size() >= kSnapshotFanout) return true;
@@ -61,11 +69,12 @@ std::vector<node_id> group_maintenance::snapshot_targets(group_id preferred) {
     return false;
   };
   if (auto it = groups_.find(preferred); it != groups_.end()) {
-    if (take_from(it->second.table)) return targets;
+    if (take_from(it->second.table, /*live_only=*/true)) return targets;
+    if (take_from(it->second.table, /*live_only=*/false)) return targets;
   }
   for (const auto& [group, state] : groups_) {
     if (group == preferred) continue;
-    if (take_from(state.table)) return targets;
+    if (take_from(state.table, /*live_only=*/false)) return targets;
   }
   for (std::size_t step = 0;
        step < cluster_roster_.size() && targets.size() < kSnapshotFanout;
@@ -139,12 +148,12 @@ void group_maintenance::note_membership(obs::event_kind kind, group_id group,
 
 void group_maintenance::apply_upsert(group_id group, process_id pid, node_id node,
                                      incarnation inc, bool candidate,
-                                     time_point now) {
+                                     time_point now, evidence source) {
   auto it = groups_.find(group);
   if (it == groups_.end()) return;  // not a group we participate in
   member_table& table = it->second.table;
   member_info prior{};
-  switch (table.upsert(pid, node, inc, candidate, now, &prior)) {
+  switch (table.upsert(pid, node, inc, candidate, now, source, &prior)) {
     case upsert_result::joined:
       note_membership(obs::event_kind::member_join, group, pid, node);
       if (events_.on_member_joined) events_.on_member_joined(group, *table.find(pid));
@@ -182,7 +191,8 @@ void group_maintenance::on_hello(const proto::hello_msg& msg, time_point now) {
 
 void group_maintenance::on_hello_ack(const proto::hello_ack_msg& msg, time_point now) {
   for (const auto& entry : msg.entries) {
-    apply_upsert(entry.group, entry.pid, entry.node, entry.inc, entry.candidate, now);
+    apply_upsert(entry.group, entry.pid, entry.node, entry.inc, entry.candidate, now,
+                 evidence::snapshot);
   }
 }
 
@@ -262,12 +272,15 @@ std::vector<node_id> group_maintenance::scoped_destinations(
   std::vector<node_id> dsts;
   if (!state.local) return dsts;
   const bool local_is_candidate = state.local->candidate;
+  const time_point now = clock_.now();
   std::unordered_set<node_id> seen;
   for (const member_info& m : state.table.members_view()) {
     if (m.node == self_) continue;
     // Candidates announce to the whole group roster; listeners only to the
-    // candidate hosts (the nodes whose tables must keep vouching for them).
-    if ((local_is_candidate || m.candidate) && seen.insert(m.node).second) {
+    // live candidates' hosts (the nodes whose tables must keep vouching for
+    // them). A stale flag, or one only a snapshot reported, reaches no one.
+    if ((local_is_candidate || live_candidate(m, now)) &&
+        seen.insert(m.node).second) {
       dsts.push_back(m.node);
     }
   }
@@ -356,16 +369,31 @@ proto::hello_msg group_maintenance::build_hello(bool reply_requested) const {
 
 proto::hello_ack_msg group_maintenance::build_snapshot(
     const proto::hello_msg* request) const {
-  std::unordered_set<group_id> requested;
+  // Requested group -> whether the requester announced itself a candidate.
+  std::unordered_map<group_id, bool> requested;
   if (request != nullptr) {
-    for (const auto& entry : request->entries) requested.insert(entry.group);
+    for (const auto& entry : request->entries) {
+      requested.emplace(entry.group, entry.candidate);
+    }
   }
+  const time_point now = clock_.now();
   proto::hello_ack_msg msg;
   msg.from = self_;
   msg.inc = inc_;
   for (const auto& [group, state] : groups_) {
-    if (request != nullptr && requested.count(group) == 0) continue;
+    // A listener only uses a group's candidates: it addresses its HELLOs
+    // to them and elects among them. Send it the live ones, and this node
+    // if it is one.
+    bool listener = false;
+    if (request != nullptr) {
+      const auto it = requested.find(group);
+      if (it == requested.end()) continue;
+      listener = !it->second;
+    }
     for (const member_info& m : state.table.members_view()) {
+      if (listener && !(m.node == self_ ? m.candidate : live_candidate(m, now))) {
+        continue;
+      }
       msg.entries.push_back({group, m.pid, m.node, m.inc, m.candidate});
     }
   }

@@ -44,12 +44,24 @@ namespace omega::membership {
 ///     a member of that group (the group roster) — candidates must stay in
 ///     every member's view to be electable and to fan ALIVEs out;
 ///   * a *listener* (non-candidate) entry goes only to the nodes hosting
-///     the group's candidates — they are the ones that must keep the
-///     listener in their tables (the leader sends it ALIVEs; the sweep
-///     would otherwise evict it). Fellow listeners have no use for it.
+///     the group's *live* candidates — they are the ones that must keep
+///     the listener in their tables (the leader sends it ALIVEs; the sweep
+///     would otherwise evict it). Fellow listeners have no use for it. A
+///     candidate is live while its own claim (`member_info::last_claim`:
+///     its HELLO entry or ALIVE payload with `candidate` set, never a
+///     snapshot's copy) is younger than `kClaimLifetime`; candidates
+///     re-announce to their whole roster every sweep, so a live one never
+///     lapses, while a stale flag from a demotion or a snapshot does;
+///   * a HELLO_ACK snapshot carries only the groups the requester
+///     announced. For a group where the requester announced itself a
+///     listener it carries only the live candidates, plus the responder if
+///     it is one: that is all a listener uses. A candidate requester gets
+///     the whole table, since it must know the roster to lead it;
 ///   * the initial join HELLO (reply_requested) still goes cluster-wide:
 ///     it is the discovery bootstrap that seeds the rosters in the first
-///     place, and it is O(roster) once per join, not per interval;
+///     place, and it is O(roster) once per join, not per interval. Its
+///     snapshot solicitation goes to a bounded set, the announced group's
+///     live candidates first (only they hold its whole roster);
 ///   * each sweep additionally probes one roster node (`kAntiEntropyProbes`)
 ///     outside the scoped destination set (round-robin, reply_requested),
 ///     healing the rare gap where a join HELLO was lost *and* every
@@ -73,6 +85,10 @@ class group_maintenance {
   static constexpr duration kEvictionAfter = sec(30);
   /// Extra discovery probes per sweep in `roster` mode (see above).
   static constexpr std::size_t kAntiEntropyProbes = 1;
+  /// How long a member's own candidacy claim keeps it a live candidate in
+  /// `roster` mode. Candidates re-announce to their whole roster every
+  /// sweep, so a live one never lapses; the margin covers one lost HELLO.
+  static constexpr duration kClaimLifetime = 2 * kHelloInterval;
 
   struct options {
     /// Destination policy of HELLO/LEAVE dissemination (see `hello_fanout`).
@@ -171,7 +187,8 @@ class group_maintenance {
   /// bucketed into one multicast per distinct set, plus discovery probes.
   void emit_scoped_hello();
   /// Per-group scoped destination set (candidate -> roster, listener ->
-  /// candidate hosts); empty if the group is unknown or has no local member.
+  /// live candidates' hosts); empty if the group is unknown or has no local
+  /// member.
   [[nodiscard]] std::vector<node_id> scoped_destinations(
       const group_state& state) const;
   [[nodiscard]] bool scoped_mode() const {
@@ -185,12 +202,16 @@ class group_maintenance {
   /// Membership snapshot. With a `request` (roster mode) it is scoped to
   /// the groups the requester announced: entries for groups it does not
   /// participate in are dead weight (its apply path drops them), and the
-  /// full known world is O(cluster) large. Null = the seed's full
-  /// snapshot (`all` fanout stays byte-identical).
+  /// full known world is O(cluster) large. For a group where the requester
+  /// announced itself a listener, only the live candidates (and this node,
+  /// if it is one) go in. Null = the seed's full snapshot (`all` fanout
+  /// stays byte-identical). The receiver applies the entries as
+  /// `evidence::snapshot`: they refresh membership but claim nothing.
   [[nodiscard]] proto::hello_ack_msg build_snapshot(
       const proto::hello_msg* request) const;
   void apply_upsert(group_id group, process_id pid, node_id node, incarnation inc,
-                    bool candidate, time_point now);
+                    bool candidate, time_point now,
+                    evidence source = evidence::first_hand);
   void note_membership(obs::event_kind kind, group_id group, process_id pid,
                        node_id node);
 

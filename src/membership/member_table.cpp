@@ -6,10 +6,12 @@ namespace omega::membership {
 
 upsert_result member_table::upsert(process_id pid, node_id node, incarnation inc,
                                    bool candidate, time_point now,
-                                   member_info* prior) {
+                                   evidence source, member_info* prior) {
+  const bool first_hand = source == evidence::first_hand;
+  const time_point claim = first_hand && candidate ? now : time_point::min();
   auto it = members_.find(pid);
   if (it == members_.end()) {
-    const member_info m{pid, node, inc, candidate, now};
+    const member_info m{pid, node, inc, candidate, now, claim};
     members_.emplace(pid, m);
     insert_cache(m);
     if (min_bound_valid_) min_refresh_bound_ = std::min(min_refresh_bound_, now);
@@ -20,12 +22,13 @@ upsert_result member_table::upsert(process_id pid, node_id node, incarnation inc
   if (prior != nullptr) *prior = m;
   if (inc < m.inc) return upsert_result::stale_ignored;
   if (inc > m.inc) {
-    m = member_info{pid, node, inc, candidate, now};
+    m = member_info{pid, node, inc, candidate, now, claim};
     patch_cache(m);
     ++version_;
     return upsert_result::reincarnated;
   }
   m.last_refresh = std::max(m.last_refresh, now);
+  if (first_hand) m.last_claim = claim;
   if (m.candidate != candidate || m.node != node) {
     m.candidate = candidate;
     m.node = node;

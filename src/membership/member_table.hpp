@@ -2,11 +2,14 @@
 // Maintenance" module).
 //
 // Tracks the set of processes currently believed to be in the group: who
-// hosts them, their incarnation, whether they are leadership candidates and
-// when we last heard membership evidence about them (HELLO or ALIVE).
-// Entries from older incarnations are replaced; long-silent entries are
-// evicted by the group-maintenance sweep once the failure detector no
-// longer vouches for them.
+// hosts them, their incarnation, whether they are leadership candidates,
+// when we last heard membership evidence about them (HELLO or ALIVE) and
+// when the member itself last claimed candidacy. The candidate flag may
+// come from a third party's snapshot and go stale; the claim time only
+// moves on the member's own word, so roster-scoped dissemination can tell
+// a live candidate from a stale flag. Entries from older incarnations are
+// replaced; long-silent entries are evicted by the group-maintenance sweep
+// once the failure detector no longer vouches for them.
 #pragma once
 
 #include <cstddef>
@@ -27,9 +30,18 @@ struct member_info {
   incarnation inc = 0;
   bool candidate = false;
   time_point last_refresh{};
+  /// When the member itself last claimed candidacy: its own HELLO entry or
+  /// ALIVE payload with `candidate` set. A snapshot never sets it, and the
+  /// member's own non-candidate evidence resets it to `time_point::min()`
+  /// (no claim).
+  time_point last_claim = time_point::min();
 
   friend bool operator==(const member_info&, const member_info&) = default;
 };
+
+/// Who reported an upsert's candidate flag: the member itself (its HELLO
+/// entry or ALIVE payload) or another node's HELLO_ACK snapshot.
+enum class evidence : std::uint8_t { first_hand, snapshot };
 
 /// Result of an upsert, so callers know which notifications to emit.
 enum class upsert_result {
@@ -43,11 +55,14 @@ enum class upsert_result {
 class member_table {
  public:
   /// Inserts or refreshes a member; see `upsert_result` for the outcome.
-  /// If `prior` is non-null, it receives the entry as it was before the
-  /// call (unchanged when the result is `joined`) — saves the caller a
-  /// second hash lookup on the per-ALIVE path.
+  /// First-hand evidence also records (or, when not a candidate, clears)
+  /// the member's candidacy claim in the same entry. If `prior` is
+  /// non-null, it receives the entry as it was before the call (unchanged
+  /// when the result is `joined`) — saves the caller a second hash lookup
+  /// on the per-ALIVE path.
   upsert_result upsert(process_id pid, node_id node, incarnation inc,
                        bool candidate, time_point now,
+                       evidence source = evidence::first_hand,
                        member_info* prior = nullptr);
 
   /// Removes a member if the evidence is not stale (incarnation >= stored).

@@ -2,12 +2,13 @@
 //
 // Six datagram types, mirroring Figure 2 of the paper:
 //   ALIVE      — heartbeat of the shared failure detector, carrying one
-//                election payload per group the sender is active in
-//                (the shared-FD architecture of Deianov/Toueg amortizes one
-//                heartbeat stream over every group and application). Each
-//                payload carries its own heartbeat counter: the datagram
-//                goes to the members of the carried groups only, so loss
-//                is counted per (sender, group) stream, not per datagram.
+//                election payload per group the sender is active in and
+//                shares with the receiver (the shared-FD architecture of
+//                Deianov/Toueg amortizes one heartbeat stream over every
+//                group and application). Each payload carries its own
+//                heartbeat counter: a group's payload goes to that group's
+//                members only, so loss is counted per (sender, group)
+//                stream, not per datagram.
 //   ACCUSE     — "I suspected you": drives the accusation-time mechanism of
 //                the Omega_lc / Omega_l algorithms.
 //   HELLO      — group membership announcement / periodic anti-entropy.
@@ -39,8 +40,11 @@ namespace omega::proto {
 /// Election state for one group, piggybacked on an ALIVE message.
 struct group_payload {
   group_id group;
-  /// How many ALIVEs from this sender have carried this group's payload,
-  /// this one included: the per-(sender, group) heartbeat counter.
+  /// How many heartbeat ticks of this sender have carried this group's
+  /// payload, this one included: the per-(sender, group) heartbeat
+  /// counter. A tick sends the payload to every member of the group's
+  /// table in the sender's view and to no one else, so a node that stays
+  /// in that table sees every seq, and a gap is a lost datagram.
   std::uint64_t seq = 0;
   process_id pid;                 // sending process within this group
   bool candidate = false;         // willing to lead (join-time flag)

@@ -1,7 +1,6 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 namespace omega::service {
@@ -464,27 +463,44 @@ void leader_election_service::alive_tick() {
 }
 
 void leader_election_service::send_alive_now(std::optional<group_id> extra_group) {
-  proto::alive_msg msg;
-  msg.from = config_.self;
-  msg.inc = config_.inc;
-  msg.send_time = clock_.now();
-  msg.eta = rate_.effective_eta(clock_.now());
-
-  std::unordered_set<node_id> destinations;
+  // Each sending group's payload goes to that group's table only, and each
+  // destination gets one ALIVE with the payloads of every group it shares.
+  // A destination's payload set is an id into `payload_sets_`: id 0 is the
+  // empty set, and a destination whose set s gains payload i (i above every
+  // payload in s) moves to the set {s, i}, found or made there. So the
+  // destinations that share their groups share one id and one encoding.
+  // `dst_set` iterates in the order the node-level destination set did,
+  // so a one-group node's datagrams go out exactly as they always have.
+  alive_payloads_.clear();
+  payload_sets_.assign(1, payload_set{});
+  const auto extended = [this](std::uint32_t set, std::uint32_t index) {
+    // A node hosting two members of one group already holds its payload.
+    if (set != 0 && payload_sets_[set].last == index) return set;
+    for (std::uint32_t s = 1; s < payload_sets_.size(); ++s) {
+      if (payload_sets_[s].parent == set && payload_sets_[s].last == index) return s;
+    }
+    payload_sets_.push_back({set, index});
+    return static_cast<std::uint32_t>(payload_sets_.size() - 1);
+  };
+  std::unordered_map<node_id, std::uint32_t> dst_set;
   for (auto& [g, gs] : groups_) {
     const bool include = gs.elector->should_send_alive() ||
                          (extra_group.has_value() && *extra_group == g);
     if (!include) continue;
-    proto::group_payload payload;
+    const auto index = static_cast<std::uint32_t>(alive_payloads_.size());
+    proto::group_payload& payload = alive_payloads_.emplace_back();
     gs.elector->fill_payload(payload);
-    msg.groups.push_back(payload);
+    bool carried = false;
     for (const auto& m : gm_.table(g).members_view()) {
-      if (m.node != config_.self) destinations.insert(m.node);
+      if (m.node == config_.self) continue;
+      std::uint32_t& set = dst_set[m.node];
+      set = extended(set, index);
+      carried = true;
     }
+    if (carried) payload.seq = ++payload_seq_[g];
   }
-  if (msg.groups.empty() || destinations.empty()) return;
+  if (dst_set.empty()) return;
 
-  for (auto& payload : msg.groups) payload.seq = ++payload_seq_[payload.group];
   last_alive_sent_ = clock_.now();
   ++stats_.alive_sent;
   // Eager ALIVEs fired from within an activation (competition entry, rank
@@ -494,13 +510,27 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
       config_.causal_stamping && config_.sink != nullptr
           ? config_.sink->current_cause()
           : cause_id{};
-  // Flatten the set in its own iteration order (the order the per-dst send
-  // loop used to run in), encode once into a pool buffer, and fan out by
-  // reference: the 500-node roster costs one encode, zero copies.
-  dst_scratch_.assign(destinations.begin(), destinations.end());
-  transport_.multicast(dst_scratch_,
-                       proto::encode_shared(proto::wire_message{std::move(msg)},
-                                            transport_.pool(), cause));
+  if (set_dsts_.size() < payload_sets_.size()) set_dsts_.resize(payload_sets_.size());
+  for (std::size_t s = 0; s < payload_sets_.size(); ++s) set_dsts_[s].clear();
+  for (const auto& [node, set] : dst_set) set_dsts_[set].push_back(node);
+
+  auto& msg = std::get<proto::alive_msg>(alive_scratch_);
+  msg.from = config_.self;
+  msg.inc = config_.inc;
+  msg.send_time = clock_.now();
+  msg.eta = rate_.effective_eta(clock_.now());
+  // Encode each payload set once into a pool buffer and fan it out by
+  // reference: the 500-node roster costs one encode per set, zero copies.
+  for (std::size_t s = 1; s < payload_sets_.size(); ++s) {
+    if (set_dsts_[s].empty()) continue;
+    msg.groups.clear();
+    for (std::size_t t = s; t != 0; t = payload_sets_[t].parent) {
+      msg.groups.push_back(alive_payloads_[payload_sets_[t].last]);
+    }
+    std::reverse(msg.groups.begin(), msg.groups.end());
+    transport_.multicast(set_dsts_[s],
+                         proto::encode_shared(alive_scratch_, transport_.pool(), cause));
+  }
 }
 
 // ---- outbound helpers -------------------------------------------------------

@@ -10,9 +10,11 @@
 //
 // The instance multiplexes all groups over a single node-level heartbeat
 // stream (the shared-FD architecture of [6, 11] that amortizes monitoring
-// cost across applications): each ALIVE datagram carries one election
-// payload per group in which this node is actively transmitting, and each
-// payload numbers its own group's heartbeat stream.
+// cost across applications): each tick sends one ALIVE datagram per
+// destination, and it carries the election payload of every group in which
+// this node is actively transmitting and whose member table holds that
+// destination. So a group's payload reaches exactly its own table, and each
+// payload numbers its own group's heartbeat stream without gaps.
 //
 // Destroying the instance models a workstation crash: no goodbyes are sent
 // and all volatile state vanishes. The churn injector of the experiment
@@ -167,9 +169,11 @@ class leader_election_service {
   // Heartbeat engine.
   void schedule_alive();
   void alive_tick();
-  /// Sends one ALIVE immediately. When `extra_group` is set, its payload is
-  /// included even if its elector is no longer sending (the Omega_l
-  /// "graceful withdrawal" final heartbeat).
+  /// Sends one ALIVE immediately to every member of a sending group's
+  /// table, carrying the payloads of the sending groups whose tables hold
+  /// that destination. When `extra_group` is set, its payload is included
+  /// even if its elector is no longer sending (the Omega_l "graceful
+  /// withdrawal" final heartbeat).
   void send_alive_now(std::optional<group_id> extra_group = std::nullopt);
 
   // Outbound helpers.
@@ -186,6 +190,19 @@ class leader_election_service {
 
   /// Reused destination buffer for the fan-out paths (no per-send vector).
   std::vector<node_id> dst_scratch_;
+
+  /// Scratch of `send_alive_now`, reused across ticks: the sending groups'
+  /// payloads, the distinct payload sets of the destinations (`parent` plus
+  /// payload index `last`; entry 0 is the empty set), the destinations of
+  /// each set, and the ALIVE each set is encoded from.
+  struct payload_set {
+    std::uint32_t parent = 0;
+    std::uint32_t last = 0;
+  };
+  std::vector<proto::group_payload> alive_payloads_;
+  std::vector<payload_set> payload_sets_;
+  std::vector<std::vector<node_id>> set_dsts_;
+  proto::wire_message alive_scratch_;
 
   /// Serialized-bytes cache for the periodic HELLO anti-entropy broadcast:
   /// between membership changes the message is byte-identical, so the

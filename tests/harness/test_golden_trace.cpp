@@ -96,13 +96,18 @@ std::string run_golden_trace(bool causal = false) {
 // Golden fingerprint of the run above, captured from the pre-rewrite
 // (seed-semantics) simulator. OMEGA_GOLDEN_* below were produced by the
 // heap-of-std::function simulator with per-destination payload copies; the
-// zero-copy hot path must reproduce them exactly. Re-pinned once, with the
-// stamped value below, for an intended protocol change: an unpinned
-// monitor's delta became T^U_D minus the announced eta (every survivor
-// suspects the dead leader at its last heartbeat + T^U_D), and a monitor
-// with a cold estimate stopped requesting the cold-start rate.
-constexpr std::uint64_t kGoldenTraceHash = 0x815512182ae4926eull;
-constexpr std::size_t kGoldenTraceBytes = 7924386;
+// zero-copy hot path must reproduce them exactly. Re-pinned, with the
+// stamped value below, for intended protocol changes only. First: an
+// unpinned monitor's delta became T^U_D minus the announced eta (every
+// survivor suspects the dead leader at its last heartbeat + T^U_D), and a
+// monitor with a cold estimate stopped requesting the cold-start rate.
+// Then: each ALIVE carries only the payloads of the groups whose tables
+// hold its destination, and roster-mode listeners HELLO only candidates
+// with a live own claim and get candidates-only snapshots. Listeners'
+// copies of other listeners now age out, so the trace gains eviction
+// events (7924386 -> 9537638 bytes).
+constexpr std::uint64_t kGoldenTraceHash = 0x0bc1d1f83c5a292aull;
+constexpr std::size_t kGoldenTraceBytes = 9537638;
 
 TEST(GoldenTrace, Scoped3RunMatchesSeedSemantics) {
   const std::string jsonl = run_golden_trace();
@@ -126,8 +131,8 @@ TEST(GoldenTrace, TwoRunsAreByteIdentical) {
 // not perturb the event timeline (stamps ride existing datagrams; the sim's
 // link delays are size-independent), so the JSONL differs from the golden
 // stream only by the added "cause" fields — pinned separately.
-constexpr std::uint64_t kGoldenStampedHash = 0x1b55e89fa4f5d9bdull;
-constexpr std::size_t kGoldenStampedBytes = 9397100;
+constexpr std::uint64_t kGoldenStampedHash = 0xb116ac56ac5c575bull;
+constexpr std::size_t kGoldenStampedBytes = 11519520;
 
 TEST(GoldenTrace, StampedRunHasItsOwnPinnedFingerprint) {
   const std::string jsonl = run_golden_trace(/*causal=*/true);
@@ -229,8 +234,12 @@ std::string run_adaptive_three_tier_golden_trace() {
   return obs::render_jsonl(exp.merged_trace());
 }
 
-constexpr std::uint64_t kGoldenAdaptiveThreeTierHash = 0xd8561b2738b3be5eull;
-constexpr std::size_t kGoldenAdaptiveThreeTierBytes = 258783;
+// Re-pinned once, with the scoped3 and stamped values above, when ALIVE
+// payloads went per group and roster-mode listeners began to follow live
+// candidacy claims. The flat adaptive value above did not move: a
+// one-group node's datagrams are unchanged.
+constexpr std::uint64_t kGoldenAdaptiveThreeTierHash = 0xb49e68ffe48fa9a0ull;
+constexpr std::size_t kGoldenAdaptiveThreeTierBytes = 270296;
 
 TEST(GoldenTrace, AdaptiveThreeTierRunMatchesPinnedFingerprint) {
   const std::string jsonl = run_adaptive_three_tier_golden_trace();

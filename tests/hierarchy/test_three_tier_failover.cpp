@@ -1,16 +1,22 @@
 // Three-tier failover battery (regions -> zones -> global) under
 // roster-scoped dissemination: kill a zone leader, kill the global leader,
-// crash-and-rejoin with a stale incarnation, and partition one region.
+// crash-and-rejoin with a stale incarnation, partition one region (briefly,
+// and past the eviction timeout), and a loop of global-leader kills.
 // After every event the promotion/demotion invariants must hold and the
 // cluster must converge on exactly one global leader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "hierarchy/coordinator.hpp"
+#include "membership/group_maintenance.hpp"
+#include "proto/wire.hpp"
 
 namespace omega::harness {
 namespace {
@@ -286,6 +292,91 @@ TEST(ThreeTierFailover, PartitionedRegionRejoinsWithoutDisturbingTheRest) {
   check_candidacy_invariants(exp);
 }
 
+TEST(ThreeTierFailover, RegionCutLongerThanEvictionHeals) {
+  // A cut longer than kEvictionAfter evicts the cut region from every
+  // table outside it and the rest from every table inside it, so the heal
+  // must rebuild the tables, not just refresh them: within two claim
+  // lifetimes the views must agree again and the global leader's table
+  // must hold every node.
+  for (const std::uint64_t seed : {29u, 30u, 31u, 32u, 33u}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    experiment exp(three_tier_sc(seed));
+    auto& sim = exp.simulator();
+    const auto global = settle(exp);
+    ASSERT_TRUE(global.has_value());
+    ASSERT_TRUE(wait_converged(exp));
+
+    const std::size_t leader_zone = exp.topo()->group_index(node_id{global->value()}, 1);
+    std::optional<std::size_t> cut_region;
+    for (std::uint32_t i = 0; i < kNodes && !cut_region; ++i) {
+      if (exp.topo()->group_index(node_id{i}, 1) != leader_zone) {
+        cut_region = exp.topo()->region_of(node_id{i});
+      }
+    }
+    ASSERT_TRUE(cut_region.has_value());
+    const auto in_cut = [&](node_id n) { return exp.topo()->region_of(n) == *cut_region; };
+    const auto set_cut = [&](bool up) {
+      for (std::uint32_t a = 0; a < kNodes; ++a) {
+        for (std::uint32_t b = 0; b < kNodes; ++b) {
+          if (a != b && in_cut(node_id{a}) != in_cut(node_id{b})) {
+            exp.network().force_link_state(node_id{a}, node_id{b}, up);
+          }
+        }
+      }
+    };
+    set_cut(false);
+    sim.run_until(sim.now() + sec(60));
+    static_assert(sec(60) > membership::group_maintenance::kEvictionAfter);
+    set_cut(true);
+
+    const time_point heal = sim.now();
+    const group_id top = exp.topo()->top_group();
+    const auto healed = [&] {
+      if (!converged_on_one_global_leader(exp)) return false;
+      const auto leader = exp.group().agreed_leader();
+      const auto* svc = exp.node_service(node_id{leader->value()});
+      return svc != nullptr && svc->members(top).size() == kNodes;
+    };
+    const duration budget = 4 * membership::group_maintenance::kHelloInterval;
+    while (!healed() && sim.now() < heal + budget) sim.run_until(sim.now() + msec(100));
+    EXPECT_TRUE(healed()) << "not healed " << to_seconds(budget) << " s after the heal";
+    check_candidacy_invariants(exp);
+  }
+}
+
+/// The `sim_hier_failover` shape at test size: 1 s detection bound on
+/// every tier, roster-scoped dissemination.
+scenario kill_loop_sc(std::uint64_t seed) {
+  fd::qos_spec qos;
+  qos.detection_time = sec(1);
+  qos.mistake_recurrence = std::chrono::duration_cast<duration>(std::chrono::hours(2));
+  qos.query_accuracy = 0.9999;
+  scenario sc = three_tier_sc(seed);
+  sc.hierarchy.scoped_hello = true;
+  sc.qos = qos;
+  sc.hierarchy.global_qos = qos;
+  return sc;
+}
+
+/// Settles 30 s, then 20 times: calls `before_kill` with the agreed global
+/// leader's node, crashes it, and recovers it 1.5 s later (4.5 s apart).
+template <class BeforeKill>
+void run_kill_loop(experiment& exp, BeforeKill before_kill) {
+  auto& sim = exp.simulator();
+  sim.run_until(time_origin + sec(30));
+  exp.group().begin(sim.now());
+  for (int kill = 0; kill < 20; ++kill) {
+    sim.run_until(time_origin + sec(30) + msec(4500) * kill);
+    const auto leader = exp.group().agreed_leader();
+    ASSERT_TRUE(leader.has_value()) << "no agreed leader at kill " << kill;
+    const node_id victim{leader->value()};
+    before_kill(victim, kill);
+    exp.crash_node(victim);
+    sim.run_until(sim.now() + msec(1500));
+    exp.recover_node(victim);
+  }
+}
+
 TEST(ThreeTierFailover, KillLoopKeepsListenerLossAtFloor) {
   // The global leader heartbeats its region on every tick, but a listener
   // in another region only gets the ALIVEs that carry a zone or global
@@ -294,36 +385,63 @@ TEST(ThreeTierFailover, KillLoopKeepsListenerLossAtFloor) {
   // configurator into infeasible operating points that demote live
   // leaders. Counted per (sender, group) stream, loss stays at the
   // estimator's floor through a loop of global-leader kills and recoveries.
-  fd::qos_spec qos;
-  qos.detection_time = sec(1);
-  qos.mistake_recurrence = std::chrono::duration_cast<duration>(std::chrono::hours(2));
-  qos.query_accuracy = 0.9999;
   for (const std::uint64_t seed : {29u, 30u, 31u}) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
-    scenario sc = three_tier_sc(seed);
-    sc.hierarchy.scoped_hello = true;
-    sc.qos = qos;
-    sc.hierarchy.global_qos = qos;
-    experiment exp(sc);
-    auto& sim = exp.simulator();
-    sim.run_until(time_origin + sec(30));
-    exp.group().begin(sim.now());
-    for (int kill = 0; kill < 20; ++kill) {
-      sim.run_until(time_origin + sec(30) + msec(4500) * kill);
-      const auto leader = exp.group().agreed_leader();
-      ASSERT_TRUE(leader.has_value()) << "no agreed leader at kill " << kill;
-      const node_id victim{leader->value()};
+    experiment exp(kill_loop_sc(seed));
+    run_kill_loop(exp, [&](node_id victim, int kill) {
       for (std::uint32_t i = 0; i < kNodes; ++i) {
         auto* svc = exp.node_service(node_id{i});
         if (svc == nullptr || node_id{i} == victim) continue;
         EXPECT_LE(svc->failure_detector().link_quality(victim).loss_probability, 0.02)
             << "node " << i << " on leader " << victim.value() << " at kill " << kill;
       }
-      exp.crash_node(victim);
-      sim.run_until(sim.now() + msec(1500));
-      exp.recover_node(victim);
-    }
+    });
     EXPECT_EQ(exp.group().unjustified_demotions(), 0u);
+  }
+}
+
+TEST(ThreeTierFailover, KillLoopRegionMatesMissNoRegionSeq) {
+  // Each payload numbers its group's stream, and a sender gives its region
+  // payload to its region table only. So on this loss-free LAN a region
+  // mate gets every region seq a sender numbers while both incarnations
+  // live: a seq that skips one is a payload that went to a partial set
+  // (a recovering node's first ALIVEs, while its tables refill), and the
+  // mate's estimator counts it as loss.
+  for (const std::uint64_t seed : {29u, 30u, 31u}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    experiment exp(kill_loop_sc(seed));
+    // (sender, sender inc, receiver, receiver inc) -> last region seq sent.
+    std::map<std::tuple<std::uint32_t, incarnation, std::uint32_t, incarnation>,
+             std::uint64_t>
+        last_seq;
+    std::uint64_t missed = 0;
+    exp.network().set_send_tap(
+        [&](node_id from, node_id to, std::span<const std::byte> bytes) {
+          const auto* receiver = exp.node_service(to);
+          if (receiver == nullptr) return;  // down: its next incarnation starts afresh
+          const group_id region = exp.topo()->group_at(from, 0);
+          if (exp.topo()->group_at(to, 0) != region) return;
+          const auto msg = proto::decode(bytes);
+          const auto* alive = msg ? std::get_if<proto::alive_msg>(&*msg) : nullptr;
+          if (alive == nullptr) return;
+          for (const auto& payload : alive->groups) {
+            if (payload.group != region) continue;
+            const auto [it, first] = last_seq.try_emplace(
+                {from.value(), alive->inc, to.value(), receiver->config().inc},
+                payload.seq);
+            if (!first && payload.seq > it->second + 1) {
+              missed += payload.seq - it->second - 1;
+              ADD_FAILURE() << "node " << to.value() << " missed region seqs "
+                            << it->second + 1 << ".." << payload.seq - 1
+                            << " of node " << from.value() << " inc " << alive->inc
+                            << " at " << to_string(exp.simulator().now());
+            }
+            it->second = std::max(it->second, payload.seq);
+          }
+        });
+    run_kill_loop(exp, [](node_id, int) {});
+    exp.network().set_send_tap({});
+    EXPECT_EQ(missed, 0u);
   }
 }
 
@@ -333,15 +451,7 @@ TEST(ThreeTierFailover, SurvivorsSuspectTheDeadGlobalLeaderTogether) {
   // the survivors, which all got the leader's last ALIVE, suspect it at
   // one instant. A larger delta on the cold monitors of recently
   // recovered nodes would put them behind the rest.
-  fd::qos_spec qos;
-  qos.detection_time = sec(1);
-  qos.mistake_recurrence = std::chrono::duration_cast<duration>(std::chrono::hours(2));
-  qos.query_accuracy = 0.9999;
-  scenario sc = three_tier_sc();
-  sc.hierarchy.scoped_hello = true;
-  sc.qos = qos;
-  sc.hierarchy.global_qos = qos;
-  experiment exp(sc);
+  experiment exp(kill_loop_sc(29));
   auto& sim = exp.simulator();
   const group_id global_group = exp.topo()->group_at(node_id{0}, 2);
   sim.run_until(time_origin + sec(30));

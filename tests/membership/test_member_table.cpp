@@ -55,6 +55,28 @@ TEST(MemberTable, CandidateFlagChangeIsUpdated) {
             upsert_result::updated);
 }
 
+TEST(MemberTable, CandidacyClaimFollowsOnlyTheMembersOwnWord) {
+  // A snapshot's candidate flag is hearsay: it sets the flag but never the
+  // claim. The member's own candidate evidence stamps the claim, and its
+  // own non-candidate evidence clears it; a snapshot leaves it alone.
+  member_table t;
+  const process_id p{1};
+  t.upsert(p, node_id{1}, 1, true, time_origin, evidence::snapshot);
+  EXPECT_TRUE(t.find(p)->candidate);
+  EXPECT_EQ(t.find(p)->last_claim, time_point::min());
+  t.upsert(p, node_id{1}, 1, true, time_origin + sec(1));
+  EXPECT_EQ(t.find(p)->last_claim, time_origin + sec(1));
+  t.upsert(p, node_id{1}, 1, true, time_origin + sec(2), evidence::snapshot);
+  EXPECT_EQ(t.find(p)->last_claim, time_origin + sec(1));
+  EXPECT_EQ(t.find(p)->last_refresh, time_origin + sec(2));
+  t.upsert(p, node_id{1}, 1, false, time_origin + sec(3));
+  EXPECT_EQ(t.find(p)->last_claim, time_point::min());
+  t.upsert(p, node_id{1}, 2, true, time_origin + sec(4), evidence::snapshot);
+  EXPECT_EQ(t.find(p)->inc, 2u);
+  EXPECT_EQ(t.find(p)->last_claim, time_point::min());
+  EXPECT_EQ(t.members_view().front(), *t.find(p));
+}
+
 TEST(MemberTable, RemoveRespectsIncarnation) {
   member_table t;
   t.upsert(process_id{1}, node_id{1}, 5, true, time_origin);

@@ -1,7 +1,8 @@
 // Roster-scoped dissemination unit tests: scoped HELLO destination sets
-// (union of shared-group rosters for candidates, candidate hosts for
-// listeners), cluster-wide join bootstrap, discovery probes, scoped LEAVE,
-// and the `hello_fanout::all` regression guard (flat deployments must see
+// (union of shared-group rosters for candidates, live-claim candidate
+// hosts for listeners), candidates-only snapshots for listeners,
+// cluster-wide join bootstrap, discovery probes, scoped LEAVE, and the
+// `hello_fanout::all` regression guard (flat deployments must see
 // byte-identical traffic).
 #include <gtest/gtest.h>
 
@@ -167,6 +168,108 @@ TEST(RosterScope, ListenerEntriesReachOnlyCandidateHosts) {
   const std::set<std::pair<std::uint32_t, std::uint32_t>> expected = {
       {1, 1}, {3, 1}};
   EXPECT_EQ(reach, expected);
+}
+
+TEST(RosterScope, ListenerHellosOnlyCandidatesWithALiveOwnClaim) {
+  // A candidate flag can be stale: a demotion reaches only the candidates'
+  // hosts, and snapshots copy whatever flag the responder holds. Only the
+  // member's own HELLO or ALIVE claims candidacy, and candidates re-claim
+  // every sweep, so a listener refreshes its entry only where a claim is
+  // younger than kClaimLifetime.
+  scoped_fixture f;
+  f.gm.local_join(g1, process_id{0}, /*candidate=*/false);
+  f.add_member(g1, n1, process_id{1}, /*candidate=*/true);
+  f.add_member(g1, n2, process_id{2}, /*candidate=*/true);
+  proto::hello_ack_msg ack;  // n1 reports n3 a candidate; n3 never says so
+  ack.from = n1;
+  ack.inc = 1;
+  ack.entries.push_back({g1, process_id{3}, n3, 1, true});
+  f.gm.on_hello_ack(ack, f.sim.now());
+  ASSERT_NE(f.gm.table(g1).find(process_id{3}), nullptr);
+
+  f.run_one_sweep();
+  const std::set<std::pair<std::uint32_t, std::uint32_t>> both = {{1, 1}, {2, 1}};
+  EXPECT_EQ(f.scoped_reach(), both);
+
+  // n1 keeps claiming through its ALIVEs; n2 falls silent.
+  proto::alive_msg alive;
+  alive.from = n1;
+  alive.inc = 1;
+  alive.groups.push_back({.group = g1, .pid = process_id{1}, .candidate = true});
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    f.gm.on_alive(alive, f.sim.now());
+    f.run_one_sweep();
+  }
+  ASSERT_GE(f.sim.now() - time_origin, group_maintenance::kClaimLifetime);
+  const std::set<std::pair<std::uint32_t, std::uint32_t>> only_n1 = {{1, 1}};
+  EXPECT_EQ(f.scoped_reach(), only_n1);
+
+  // A fresh claim brings n2 back.
+  f.add_member(g1, n2, process_id{2}, /*candidate=*/true);
+  f.gm.on_alive(alive, f.sim.now());
+  f.run_one_sweep();
+  EXPECT_EQ(f.scoped_reach(), both);
+}
+
+TEST(RosterScope, SnapshotToAListenerCarriesOnlyLiveCandidates) {
+  // A listener uses a group's candidates only (it HELLOs them and elects
+  // among them), so its snapshot holds the live-claim candidates and the
+  // responder if it is one. A candidate requester must know the whole
+  // roster to lead it, so it still gets every entry.
+  scoped_fixture f;
+  f.gm.local_join(g1, process_id{0}, /*candidate=*/true);
+  f.add_member(g1, n4, process_id{4}, /*candidate=*/true);  // will lapse
+  f.sim.run_until(f.sim.now() + group_maintenance::kClaimLifetime + sec(1));
+  f.add_member(g1, n1, process_id{1}, /*candidate=*/true);
+  f.add_member(g1, n2, process_id{2}, /*candidate=*/false);
+  proto::hello_ack_msg hearsay;
+  hearsay.from = n1;
+  hearsay.inc = 1;
+  hearsay.entries.push_back({g1, process_id{3}, n3, 1, true});
+  f.gm.on_hello_ack(hearsay, f.sim.now());
+
+  const auto snapshot_for = [&](bool requester_candidate) {
+    proto::hello_msg ask;
+    ask.from = n5;
+    ask.inc = 1;
+    ask.reply_requested = true;
+    ask.entries.push_back({g1, process_id{5}, requester_candidate});
+    f.unicasts.clear();
+    f.gm.on_hello(ask, f.sim.now());
+    std::set<std::uint32_t> pids;
+    EXPECT_EQ(f.unicasts.size(), 1u);
+    if (f.unicasts.empty()) return pids;
+    EXPECT_EQ(f.unicasts.back().first, n5);
+    const auto* ack = std::get_if<proto::hello_ack_msg>(&f.unicasts.back().second);
+    EXPECT_NE(ack, nullptr);
+    if (ack == nullptr) return pids;
+    for (const auto& e : ack->entries) pids.insert(e.pid.value());
+    return pids;
+  };
+  EXPECT_EQ(snapshot_for(/*requester_candidate=*/false),
+            (std::set<std::uint32_t>{0, 1}));
+  EXPECT_EQ(snapshot_for(/*requester_candidate=*/true),
+            (std::set<std::uint32_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(RosterScope, PromotionSolicitsSnapshotsFromLiveCandidatesFirst) {
+  // Only a group's candidates announce to its whole roster, so they are
+  // the peers sure to hold all of it: a promoted listener asks them first.
+  scoped_fixture f;
+  f.gm.local_join(g1, process_id{0}, /*candidate=*/false);
+  f.add_member(g1, n1, process_id{1}, /*candidate=*/false);
+  f.add_member(g1, n2, process_id{2}, /*candidate=*/false);
+  f.add_member(g1, n3, process_id{3}, /*candidate=*/false);
+  f.add_member(g1, n4, process_id{4}, /*candidate=*/true);
+  f.multicasts.clear();
+  f.gm.update_local_candidacy(g1, true);
+  ASSERT_EQ(f.multicasts.size(), 1u);
+  const auto& [dsts, msg] = f.multicasts.front();
+  const auto* ask = std::get_if<proto::hello_msg>(&msg);
+  ASSERT_NE(ask, nullptr);
+  EXPECT_TRUE(ask->reply_requested);
+  ASSERT_EQ(dsts.size(), group_maintenance::kSnapshotFanout);
+  EXPECT_EQ(dsts.front(), n4);
 }
 
 TEST(RosterScope, ProbesRotateThroughUncoveredRosterNodes) {

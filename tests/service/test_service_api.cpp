@@ -3,7 +3,10 @@
 // all on a small simulated cluster.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
+#include <tuple>
 
 #include "net/sim_network.hpp"
 #include "proto/wire.hpp"
@@ -204,6 +207,60 @@ TEST(ServiceApi, MultipleGroupsShareOneHeartbeatStream) {
   // first (allow 1.5x for the join-time extra announcements).
   EXPECT_LT(two_groups, one_group * 3 / 2)
       << "second group should ride the same ALIVE stream";
+}
+
+TEST(ServiceApi, AliveCarriesOnlyThePayloadsOfSharedGroups) {
+  // Node 0 shares g1 with nodes 1 and 4, g2 with nodes 2 and 5, and both
+  // with node 3. Each of its ticks must give every destination one ALIVE
+  // carrying the payloads of exactly the groups they share, encoded once
+  // per payload set. Node 1 is in g1 only: one payload, to its g1 peers,
+  // one encoding per tick.
+  cluster c(6);
+  const std::vector<std::vector<group_id>> joins = {
+      {g1, g2}, {g1}, {g2}, {g1, g2}, {g1}, {g2}};
+  for (std::size_t i = 0; i < joins.size(); ++i) {
+    c.at(i).register_process(process_id{i});
+    for (const group_id g : joins[i]) c.at(i).join_group(process_id{i}, g, {});
+  }
+  c.settle(sec(10));
+
+  // (sender, destination) -> payload group sets seen; (sender, send time,
+  // (group, seq) list) -> buffers the tick's datagrams were sealed in.
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::set<std::set<std::uint32_t>>>
+      carried;
+  std::map<std::tuple<std::uint32_t, time_point,
+                      std::set<std::pair<std::uint32_t, std::uint64_t>>>,
+           std::set<const std::byte*>>
+      encodings;
+  c.net.set_send_tap([&](node_id from, node_id to, std::span<const std::byte> bytes) {
+    if (from.value() > 1) return;
+    const auto msg = proto::decode(bytes);
+    const auto* alive = msg ? std::get_if<proto::alive_msg>(&*msg) : nullptr;
+    if (alive == nullptr) return;
+    std::set<std::uint32_t> groups;
+    std::set<std::pair<std::uint32_t, std::uint64_t>> streams;
+    for (const auto& p : alive->groups) {
+      groups.insert(p.group.value());
+      streams.emplace(p.group.value(), p.seq);
+    }
+    carried[{from.value(), to.value()}].insert(groups);
+    encodings[{from.value(), alive->send_time, streams}].insert(bytes.data());
+  });
+  c.settle(sec(10));
+  c.net.set_send_tap({});
+
+  using sets = std::set<std::set<std::uint32_t>>;
+  const std::map<std::pair<std::uint32_t, std::uint32_t>, sets> expected = {
+      {{0, 1}, sets{{1}}}, {{0, 2}, sets{{2}}}, {{0, 3}, sets{{1, 2}}},
+      {{0, 4}, sets{{1}}}, {{0, 5}, sets{{2}}},
+      {{1, 0}, sets{{1}}}, {{1, 3}, sets{{1}}}, {{1, 4}, sets{{1}}}};
+  EXPECT_EQ(carried, expected);
+  ASSERT_FALSE(encodings.empty());
+  for (const auto& [tick, buffers] : encodings) {
+    EXPECT_EQ(buffers.size(), 1u)
+        << "node " << std::get<0>(tick) << " encoded one payload set "
+        << buffers.size() << " times at " << to_string(std::get<1>(tick));
+  }
 }
 
 TEST(ServiceApi, MalformedDatagramsCountedNotFatal) {
