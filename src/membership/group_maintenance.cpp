@@ -15,6 +15,17 @@ bool live_candidate(const member_info& m, time_point now) {
 }
 }  // namespace
 
+struct group_maintenance::hello_plan {
+  std::vector<node_id> order;  // first-seen destination order
+  std::unordered_map<node_id, std::vector<proto::hello_msg::entry>> entries;
+
+  void add(node_id dst, const proto::hello_msg::entry& entry) {
+    auto [it, inserted] = entries.try_emplace(dst);
+    if (inserted) order.push_back(dst);
+    it->second.push_back(entry);
+  }
+};
+
 group_maintenance::group_maintenance(clock_source& clock, timer_service& timers,
                                      node_id self, incarnation inc, options opts)
     : clock_(clock), sweep_timer_(timers), self_(self), inc_(inc), opts_(opts) {}
@@ -173,8 +184,15 @@ void group_maintenance::apply_upsert(group_id group, process_id pid, node_id nod
   }
 }
 
+bool group_maintenance::local_listener(group_id group) const {
+  const auto it = groups_.find(group);
+  return it != groups_.end() && it->second.local && !it->second.local->candidate;
+}
+
 void group_maintenance::on_hello(const proto::hello_msg& msg, time_point now) {
   for (const auto& entry : msg.entries) {
+    // A scoped listener keeps only candidates and itself (see hello_fanout).
+    if (scoped_mode() && !entry.candidate && local_listener(entry.group)) continue;
     apply_upsert(entry.group, entry.pid, msg.from, msg.inc, entry.candidate, now);
   }
   if (msg.reply_requested && unicast_) {
@@ -191,6 +209,10 @@ void group_maintenance::on_hello(const proto::hello_msg& msg, time_point now) {
 
 void group_maintenance::on_hello_ack(const proto::hello_ack_msg& msg, time_point now) {
   for (const auto& entry : msg.entries) {
+    // This node is the authority on its own members: a responder's copy of
+    // them may hold a flag from before a demotion, and it would overwrite
+    // the local entry that this node's own snapshots report.
+    if (entry.node == self_) continue;
     apply_upsert(entry.group, entry.pid, entry.node, entry.inc, entry.candidate, now,
                  evidence::snapshot);
   }
@@ -211,6 +233,10 @@ void group_maintenance::on_alive(const proto::alive_msg& msg, time_point now) {
   }
 }
 
+void group_maintenance::note_heartbeat(group_id group) {
+  if (auto it = groups_.find(group); it != groups_.end()) it->second.heartbeated = true;
+}
+
 void group_maintenance::start() {
   if (running_) return;
   running_ = true;
@@ -226,7 +252,16 @@ void group_maintenance::sweep() {
   // Periodic anti-entropy is a spontaneous causal root: the HELLO goes out
   // unstamped and evictions start their own chains.
   obs::sink::activation causal_scope(sink_);
-  broadcast_hello(/*reply_requested=*/false);
+  if (scoped_mode()) {
+    emit_scoped_hello(/*periodic=*/true);
+  } else if (multicast_ && !cluster_roster_.empty() &&
+             std::any_of(groups_.begin(), groups_.end(),
+                         [](const auto& g) { return g.second.heartbeated; })) {
+    emit_uncovered_hello();
+  } else {
+    broadcast_hello(/*reply_requested=*/false);  // the seed's bytes
+  }
+  for (auto& [group, state] : groups_) state.heartbeated = false;
   const time_point cutoff = clock_.now() - kEvictionAfter;
   // Iterate over a snapshot of the group ids: an eviction event may re-enter
   // local_join / local_leave (the hierarchy coordinator promotes and demotes
@@ -258,7 +293,7 @@ void group_maintenance::broadcast_hello(bool reply_requested) {
   // is the discovery bootstrap that seeds the group rosters the scoped
   // path later relies on. Only the periodic anti-entropy is scoped.
   if (!reply_requested && scoped_mode()) {
-    emit_scoped_hello();
+    emit_scoped_hello(/*periodic=*/false);
     return;
   }
   if (!broadcast_) return;
@@ -287,30 +322,98 @@ std::vector<node_id> group_maintenance::scoped_destinations(
   return dsts;
 }
 
-void group_maintenance::emit_scoped_hello() {
-  // Build the per-destination entry sets, then bucket destinations that
-  // share one (typically: full-roster groups collapse into a single
-  // multicast) so the transport can fan each encoding out once.
-  std::vector<node_id> dst_order;                       // first-seen order
-  std::unordered_map<node_id, std::vector<proto::hello_msg::entry>> per_dst;
+std::unordered_set<node_id> group_maintenance::reached(const group_state& state) const {
+  std::unordered_set<node_id> nodes;
+  if (!state.heartbeated) return nodes;
+  const time_point heard_after = clock_.now() - kSilentAfter;
+  for (const member_info& m : state.table.members_view()) {
+    if (m.node != self_ && m.last_refresh > heard_after) nodes.insert(m.node);
+  }
+  return nodes;
+}
+
+void group_maintenance::emit_scoped_hello(bool periodic) {
+  hello_plan plan;
+  // Every scoped destination counts as covered for the probes below, also
+  // one that gets no entry because the group's ALIVEs already reached it.
+  std::unordered_set<node_id> covered;
   for (const auto& [group, state] : groups_) {
     if (!state.local) continue;
     const proto::hello_msg::entry entry{group, state.local->pid,
                                         state.local->candidate};
+    // The scoped destinations are nodes of the table, which the group's
+    // ALIVEs go to.
+    const std::unordered_set<node_id> skip =
+        periodic ? reached(state) : std::unordered_set<node_id>{};
     for (const node_id dst : scoped_destinations(state)) {
-      auto [it, inserted] = per_dst.try_emplace(dst);
-      if (inserted) dst_order.push_back(dst);
-      it->second.push_back(entry);
+      covered.insert(dst);
+      if (skip.count(dst) == 0) plan.add(dst, entry);
     }
   }
+  multicast_plan(plan);
 
-  // Bucket by identical entry sets. Entries were appended in one pass over
+  // Discovery probes: rotate through roster nodes outside the scoped set
+  // with a full reply-requested HELLO, healing lost-join gaps over time.
+  if (cluster_roster_.empty()) return;
+  std::vector<node_id> probes;
+  for (std::size_t step = 0;
+       step < cluster_roster_.size() && probes.size() < kAntiEntropyProbes;
+       ++step) {
+    const node_id candidate =
+        cluster_roster_[probe_cursor_++ % cluster_roster_.size()];
+    if (candidate == self_ || covered.count(candidate) > 0) continue;
+    probes.push_back(candidate);
+  }
+  probe_cursor_ %= cluster_roster_.size();
+  if (probes.empty()) return;
+  proto::hello_msg probe = build_hello(/*reply_requested=*/true);
+  if (probe.entries.empty()) return;
+  multicast_(probes, probe);
+}
+
+void group_maintenance::emit_uncovered_hello() {
+  // A heartbeated group's entry skips the nodes its ALIVEs reached; the
+  // rest of the roster still gets it, so discovery is what the
+  // cluster-wide broadcast gives. Each heartbeated table is read once per
+  // sweep, only the reached nodes need their own entry lists, and every
+  // other roster node shares the full HELLO.
+  std::unordered_map<node_id, std::vector<group_id>> skipped;
+  for (const auto& [group, state] : groups_) {
+    if (!state.local) continue;
+    for (const node_id node : reached(state)) skipped[node].push_back(group);
+  }
+  hello_plan plan;
+  std::vector<node_id> rest;
+  for (const node_id dst : cluster_roster_) {
+    if (dst == self_) continue;
+    const auto it = skipped.find(dst);
+    if (it == skipped.end()) {
+      rest.push_back(dst);
+      continue;
+    }
+    for (const auto& [group, state] : groups_) {
+      if (!state.local ||
+          std::find(it->second.begin(), it->second.end(), group) != it->second.end()) {
+        continue;
+      }
+      plan.add(dst, {group, state.local->pid, state.local->candidate});
+    }
+  }
+  multicast_plan(plan);
+  if (rest.empty()) return;
+  const proto::hello_msg hello = build_hello(/*reply_requested=*/false);
+  if (!hello.entries.empty()) multicast_(rest, hello);
+}
+
+void group_maintenance::multicast_plan(hello_plan& plan) {
+  // Bucket destinations by identical entry lists so the transport fans
+  // each encoding out once. Entries were appended in one pass over
   // `groups_`, so two destinations covering the same groups hold equal
-  // vectors; the distinct-set count is bounded by the (small) group count.
+  // vectors; the distinct-list count is bounded by the (small) group count.
   std::vector<std::pair<std::vector<proto::hello_msg::entry>, std::vector<node_id>>>
       buckets;
-  for (const node_id dst : dst_order) {
-    auto& entries = per_dst[dst];
+  for (const node_id dst : plan.order) {
+    auto& entries = plan.entries[dst];
     auto bucket = std::find_if(buckets.begin(), buckets.end(), [&](const auto& b) {
       return b.first == entries;
     });
@@ -329,25 +432,6 @@ void group_maintenance::emit_scoped_hello() {
     msg.entries = std::move(entries);
     multicast_(dsts, msg);
   }
-
-  // Discovery probes: rotate through roster nodes outside the scoped set
-  // with a full reply-requested HELLO, healing lost-join gaps over time.
-  if (cluster_roster_.empty()) return;
-  std::unordered_set<node_id> covered(dst_order.begin(), dst_order.end());
-  std::vector<node_id> probes;
-  for (std::size_t step = 0;
-       step < cluster_roster_.size() && probes.size() < kAntiEntropyProbes;
-       ++step) {
-    const node_id candidate =
-        cluster_roster_[probe_cursor_++ % cluster_roster_.size()];
-    if (candidate == self_ || covered.count(candidate) > 0) continue;
-    probes.push_back(candidate);
-  }
-  probe_cursor_ %= cluster_roster_.size();
-  if (probes.empty()) return;
-  proto::hello_msg probe = build_hello(/*reply_requested=*/true);
-  if (probe.entries.empty()) return;
-  multicast_(probes, probe);
 }
 
 void group_maintenance::set_cluster_roster(std::vector<node_id> roster) {

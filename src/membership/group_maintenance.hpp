@@ -10,9 +10,24 @@
 //    recovered nodes converge — cluster-wide by default, or scoped to the
 //    per-group rosters under `hello_fanout::roster` (see below);
 //  * ALIVE messages implicitly refresh / create membership (a heartbeat
-//    carrying a group payload is proof of membership);
+//    carrying a group payload is proof of membership). So the periodic
+//    sweep leaves out a group's entry toward the nodes of that group's
+//    table when an ALIVE carrying this node's payload of the group went out
+//    since the previous sweep (`note_heartbeat`): each payload goes to
+//    exactly its group's table, and it is the same first-hand evidence,
+//    candidacy claim included. A node of the table that has been silent for
+//    `kSilentAfter` still gets the entry: it may be cut off, and once the
+//    link heals, that HELLO is what lets it find this node again before
+//    either evicts the other. Every other announcement (join, discovery
+//    probe, snapshot request, candidacy flip) carries every entry. Every
+//    payload counts as evidence here, even one the network delivered
+//    behind a newer one from the same sender; only the electors skip those
+//    (the service applies a payload to its elector only if its `seq` is
+//    the newest seen from that process incarnation);
 //  * LEAVE removes a member immediately; crashed members are evicted after
-//    an eviction timeout once the failure detector stops vouching for them.
+//    an eviction timeout once the failure detector stops vouching for them;
+//  * a node is the authority on its own members: it applies no snapshot
+//    entry hosted on itself, whose flag may predate a demotion.
 //
 // This module is transport-agnostic: the owner injects send callbacks and
 // a "does the FD still trust this member" predicate.
@@ -21,6 +36,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/executor.hpp"
@@ -50,8 +66,13 @@ namespace omega::membership {
 ///     candidate is live while its own claim (`member_info::last_claim`:
 ///     its HELLO entry or ALIVE payload with `candidate` set, never a
 ///     snapshot's copy) is younger than `kClaimLifetime`; candidates
-///     re-announce to their whole roster every sweep, so a live one never
+///     re-announce to their whole roster every sweep (by HELLO, or by the
+///     ALIVEs that made the HELLO entry redundant), so a live one never
 ///     lapses, while a stale flag from a demotion or a snapshot does;
+///   * a listener keeps only candidates and itself: it skips another
+///     listener's entry from a HELLO (a join announcement or a discovery
+///     probe), since nobody would refresh that copy and it would only be
+///     evicted `kEvictionAfter` later;
 ///   * a HELLO_ACK snapshot carries only the groups the requester
 ///     announced. For a group where the requester announced itself a
 ///     listener it carries only the live candidates, plus the responder if
@@ -89,6 +110,11 @@ class group_maintenance {
   /// `roster` mode. Candidates re-announce to their whole roster every
   /// sweep, so a live one never lapses; the margin covers one lost HELLO.
   static constexpr duration kClaimLifetime = 2 * kHelloInterval;
+  /// A member this node has not heard from for this long may be cut off, so
+  /// its ALIVEs may not be arriving: the sweep still sends it the entries of
+  /// heartbeated groups. Every live member is heard at least once per sweep
+  /// interval (its own ALIVEs or HELLOs); the margin covers one lost one.
+  static constexpr duration kSilentAfter = 2 * kHelloInterval;
 
   struct options {
     /// Destination policy of HELLO/LEAVE dissemination (see `hello_fanout`).
@@ -161,6 +187,12 @@ class group_maintenance {
   /// ALIVE as implicit membership evidence for each carried group payload.
   void on_alive(const proto::alive_msg& msg, time_point now);
 
+  /// The service sent this node's `group` payload in an ALIVE, which goes
+  /// to every node of `group`'s table. Until the next sweep the nodes heard
+  /// from within `kSilentAfter` get no periodic HELLO entry for `group` (see
+  /// the file comment).
+  void note_heartbeat(group_id group);
+
   /// Starts/stops the periodic HELLO + eviction sweep.
   void start();
   void stop();
@@ -179,13 +211,29 @@ class group_maintenance {
   struct group_state {
     member_table table;
     std::optional<member_info> local;  // this node's process in the group
+    /// An ALIVE carried this node's payload since the previous sweep.
+    bool heartbeated = false;
   };
+
+  /// Destinations of one HELLO emission with their entry lists.
+  struct hello_plan;
 
   void sweep();
   void broadcast_hello(bool reply_requested);
   /// The `roster`-mode anti-entropy emission: per-destination entry sets,
   /// bucketed into one multicast per distinct set, plus discovery probes.
-  void emit_scoped_hello();
+  /// `periodic` (the sweep) leaves out each group's entry toward the nodes
+  /// its ALIVEs reached.
+  void emit_scoped_hello(bool periodic);
+  /// The `all`-mode sweep once some group heartbeated: each group's entry
+  /// goes to the roster nodes its ALIVEs did not reach.
+  void emit_uncovered_hello();
+  /// Sends each distinct entry list of `plan` once, to its destinations.
+  void multicast_plan(hello_plan& plan);
+  /// The nodes of a heartbeated group's table that need no periodic entry:
+  /// those heard from within `kSilentAfter`. Empty for other groups.
+  [[nodiscard]] std::unordered_set<node_id> reached(const group_state& state) const;
+  [[nodiscard]] bool local_listener(group_id group) const;
   /// Per-group scoped destination set (candidate -> roster, listener ->
   /// live candidates' hosts); empty if the group is unknown or has no local
   /// member.

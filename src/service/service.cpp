@@ -324,6 +324,12 @@ void leader_election_service::handle(const proto::alive_msg& msg) {
   for (const auto& payload : msg.groups) {
     auto it = groups_.find(payload.group);
     if (it == groups_.end()) continue;
+    const std::pair<incarnation, std::uint64_t> stamp{msg.inc, payload.seq};
+    auto [applied, first] = it->second.applied.try_emplace(payload.pid, stamp);
+    if (!first) {
+      if (stamp <= applied->second) continue;  // overtaken by a newer payload
+      applied->second = stamp;
+    }
     it->second.elector->on_alive_payload(msg.from, msg.inc, payload);
   }
   for (const auto& payload : msg.groups) {
@@ -469,9 +475,8 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
   // empty set, and a destination whose set s gains payload i (i above every
   // payload in s) moves to the set {s, i}, found or made there. So the
   // destinations that share their groups share one id and one encoding.
-  // `dst_set` iterates in the order the node-level destination set did,
-  // so a one-group node's datagrams go out exactly as they always have.
   alive_payloads_.clear();
+  dst_payloads_.clear();
   payload_sets_.assign(1, payload_set{});
   const auto extended = [this](std::uint32_t set, std::uint32_t index) {
     // A node hosting two members of one group already holds its payload.
@@ -482,7 +487,6 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
     payload_sets_.push_back({set, index});
     return static_cast<std::uint32_t>(payload_sets_.size() - 1);
   };
-  std::unordered_map<node_id, std::uint32_t> dst_set;
   for (auto& [g, gs] : groups_) {
     const bool include = gs.elector->should_send_alive() ||
                          (extra_group.has_value() && *extra_group == g);
@@ -493,13 +497,29 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
     bool carried = false;
     for (const auto& m : gm_.table(g).members_view()) {
       if (m.node == config_.self) continue;
-      std::uint32_t& set = dst_set[m.node];
-      set = extended(set, index);
+      dst_payloads_.emplace_back(m.node, index);
       carried = true;
     }
-    if (carried) payload.seq = ++payload_seq_[g];
+    if (carried) {
+      payload.seq = ++payload_seq_[g];
+      gm_.note_heartbeat(g);
+    }
   }
-  if (dst_set.empty()) return;
+  if (dst_payloads_.empty()) return;
+
+  // Sorted, each destination's pairs are adjacent with its payload indices
+  // ascending, so walking them names its set.
+  std::sort(dst_payloads_.begin(), dst_payloads_.end());
+  for (auto& dsts : set_dsts_) dsts.clear();
+  for (std::size_t i = 0; i < dst_payloads_.size();) {
+    const node_id node = dst_payloads_[i].first;
+    std::uint32_t set = 0;
+    for (; i < dst_payloads_.size() && dst_payloads_[i].first == node; ++i) {
+      set = extended(set, dst_payloads_[i].second);
+    }
+    if (set_dsts_.size() <= set) set_dsts_.resize(set + 1);
+    set_dsts_[set].push_back(node);
+  }
 
   last_alive_sent_ = clock_.now();
   ++stats_.alive_sent;
@@ -510,9 +530,6 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
       config_.causal_stamping && config_.sink != nullptr
           ? config_.sink->current_cause()
           : cause_id{};
-  if (set_dsts_.size() < payload_sets_.size()) set_dsts_.resize(payload_sets_.size());
-  for (std::size_t s = 0; s < payload_sets_.size(); ++s) set_dsts_[s].clear();
-  for (const auto& [node, set] : dst_set) set_dsts_[set].push_back(node);
 
   auto& msg = std::get<proto::alive_msg>(alive_scratch_);
   msg.from = config_.self;
@@ -521,7 +538,7 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
   msg.eta = rate_.effective_eta(clock_.now());
   // Encode each payload set once into a pool buffer and fan it out by
   // reference: the 500-node roster costs one encode per set, zero copies.
-  for (std::size_t s = 1; s < payload_sets_.size(); ++s) {
+  for (std::size_t s = 1; s < set_dsts_.size(); ++s) {
     if (set_dsts_[s].empty()) continue;
     msg.groups.clear();
     for (std::size_t t = s; t != 0; t = payload_sets_[t].parent) {

@@ -145,6 +145,14 @@ class leader_election_service {
     /// Last self accusation time pushed to peers; a change triggers an
     /// eager ALIVE so demotions propagate in one delay, not one eta.
     time_point last_self_acc{};
+    /// Per remote process, the (incarnation, seq) of the newest payload
+    /// given to the elector. A payload at or below it arrived behind a
+    /// newer one, so the elector never sees it: an Omega_l withdrawal
+    /// overtaken by its own competition entry would otherwise re-add the
+    /// contender, and T_D later the entry's stale evidence would make this
+    /// node accuse a live process. The failure detector still sees every
+    /// payload.
+    std::unordered_map<process_id, std::pair<incarnation, std::uint64_t>> applied;
     leader_callback on_change;
   };
 
@@ -191,15 +199,17 @@ class leader_election_service {
   /// Reused destination buffer for the fan-out paths (no per-send vector).
   std::vector<node_id> dst_scratch_;
 
-  /// Scratch of `send_alive_now`, reused across ticks: the sending groups'
-  /// payloads, the distinct payload sets of the destinations (`parent` plus
-  /// payload index `last`; entry 0 is the empty set), the destinations of
-  /// each set, and the ALIVE each set is encoded from.
+  /// Scratch of `send_alive_now`, reused across ticks so a warm tick
+  /// allocates nothing: the sending groups' payloads, the (destination,
+  /// payload index) pairs, the distinct payload sets of the destinations
+  /// (`parent` plus payload index `last`; entry 0 is the empty set), the
+  /// destinations of each set, and the ALIVE each set is encoded from.
   struct payload_set {
     std::uint32_t parent = 0;
     std::uint32_t last = 0;
   };
   std::vector<proto::group_payload> alive_payloads_;
+  std::vector<std::pair<node_id, std::uint32_t>> dst_payloads_;
   std::vector<payload_set> payload_sets_;
   std::vector<std::vector<node_id>> set_dsts_;
   proto::wire_message alive_scratch_;

@@ -105,9 +105,14 @@ std::string run_golden_trace(bool causal = false) {
 // hold its destination, and roster-mode listeners HELLO only candidates
 // with a live own claim and get candidates-only snapshots. Listeners'
 // copies of other listeners now age out, so the trace gains eviction
-// events (7924386 -> 9537638 bytes).
-constexpr std::uint64_t kGoldenTraceHash = 0x0bc1d1f83c5a292aull;
-constexpr std::size_t kGoldenTraceBytes = 9537638;
+// events (7924386 -> 9537638 bytes). Then: a sweep leaves out each group's
+// entry toward the nodes its ALIVEs reached since the previous sweep, an
+// elector applies only the newest payload seq of each process incarnation,
+// a scoped listener skips other listeners' HELLO entries, and a snapshot
+// never rewrites the local member. The listener churn is gone
+// (9537638 -> 8492948 bytes).
+constexpr std::uint64_t kGoldenTraceHash = 0xbd80b8b873158d96ull;
+constexpr std::size_t kGoldenTraceBytes = 8492948;
 
 TEST(GoldenTrace, Scoped3RunMatchesSeedSemantics) {
   const std::string jsonl = run_golden_trace();
@@ -131,8 +136,8 @@ TEST(GoldenTrace, TwoRunsAreByteIdentical) {
 // not perturb the event timeline (stamps ride existing datagrams; the sim's
 // link delays are size-independent), so the JSONL differs from the golden
 // stream only by the added "cause" fields — pinned separately.
-constexpr std::uint64_t kGoldenStampedHash = 0xb116ac56ac5c575bull;
-constexpr std::size_t kGoldenStampedBytes = 11519520;
+constexpr std::uint64_t kGoldenStampedHash = 0x1fc845172dfdca18ull;
+constexpr std::size_t kGoldenStampedBytes = 10218321;
 
 TEST(GoldenTrace, StampedRunHasItsOwnPinnedFingerprint) {
   const std::string jsonl = run_golden_trace(/*causal=*/true);
@@ -182,8 +187,12 @@ std::string run_adaptive_golden_trace() {
   return obs::render_jsonl(exp.merged_trace());
 }
 
-constexpr std::uint64_t kGoldenAdaptiveHash = 0x9fc8810a2c355d58ull;
-constexpr std::size_t kGoldenAdaptiveBytes = 52569;
+// Re-pinned with the four values when periodic HELLOs began to leave out
+// what the ALIVEs since the previous sweep delivered: in this flat group
+// every member heartbeats its whole table, so no periodic HELLO goes out,
+// and a tick now sends to its destinations in node order.
+constexpr std::uint64_t kGoldenAdaptiveHash = 0x1a3e0dfe76e5a071ull;
+constexpr std::size_t kGoldenAdaptiveBytes = 52378;
 
 TEST(GoldenTrace, AdaptiveRunMatchesPinnedFingerprint) {
   const std::string jsonl = run_adaptive_golden_trace();
@@ -234,12 +243,14 @@ std::string run_adaptive_three_tier_golden_trace() {
   return obs::render_jsonl(exp.merged_trace());
 }
 
-// Re-pinned once, with the scoped3 and stamped values above, when ALIVE
+// Re-pinned, with the scoped3 and stamped values above, when ALIVE
 // payloads went per group and roster-mode listeners began to follow live
-// candidacy claims. The flat adaptive value above did not move: a
-// one-group node's datagrams are unchanged.
-constexpr std::uint64_t kGoldenAdaptiveThreeTierHash = 0xb49e68ffe48fa9a0ull;
-constexpr std::size_t kGoldenAdaptiveThreeTierBytes = 270296;
+// candidacy claims, and again with all four when sweeps began to leave out
+// what ALIVEs delivered. In this 18-node run the listeners' stale copies
+// of the boot-time candidates are now evicted once, about 30 s in
+// (270296 -> 281601 bytes).
+constexpr std::uint64_t kGoldenAdaptiveThreeTierHash = 0xc614835789b5e45full;
+constexpr std::size_t kGoldenAdaptiveThreeTierBytes = 281601;
 
 TEST(GoldenTrace, AdaptiveThreeTierRunMatchesPinnedFingerprint) {
   const std::string jsonl = run_adaptive_three_tier_golden_trace();

@@ -1,15 +1,18 @@
 // Roster-scoped dissemination unit tests: scoped HELLO destination sets
 // (union of shared-group rosters for candidates, live-claim candidate
-// hosts for listeners), candidates-only snapshots for listeners,
-// cluster-wide join bootstrap, discovery probes, scoped LEAVE, and the
-// `hello_fanout::all` regression guard (flat deployments must see
-// byte-identical traffic).
+// hosts for listeners), candidates-only snapshots and tables for
+// listeners, cluster-wide join bootstrap, discovery probes, scoped LEAVE,
+// sweeps that leave out what the ALIVEs since the previous sweep carried,
+// and the `hello_fanout::all` regression guard (a node that heartbeats
+// nothing sends the seed's bytes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
 #include "membership/group_maintenance.hpp"
+#include "obs/sink.hpp"
+#include "obs/trace.hpp"
 #include "proto/wire.hpp"
 #include "sim/simulator.hpp"
 
@@ -316,6 +319,182 @@ TEST(RosterScope, ScopedLeaveReachesOnlyTheGroupRoster) {
   std::set<std::uint32_t> dst_set;
   for (const node_id d : dsts) dst_set.insert(d.value());
   EXPECT_EQ(dst_set, (std::set<std::uint32_t>{1, 2}));
+}
+
+TEST(RosterScope, HeartbeatedGroupAddsNoSweepEntryWhileAListenerGroupDoes) {
+  // An ALIVE carrying this node's g1 payload went to g1's whole table since
+  // the previous sweep: it is the same first-hand evidence as the HELLO
+  // entry, so the sweep leaves g1 out. The listener group g2 sent no
+  // payload, so its entry still goes to its live candidate's host.
+  scoped_fixture f;
+  f.gm.local_join(g1, process_id{0}, /*candidate=*/true);
+  f.gm.local_join(g2, process_id{100}, /*candidate=*/false);
+  f.add_member(g1, n1, process_id{1}, true);
+  f.add_member(g1, n2, process_id{2}, false);
+  f.add_member(g2, n3, process_id{103}, true);
+  f.add_member(g2, n4, process_id{104}, false);
+
+  f.gm.note_heartbeat(g1);
+  f.run_one_sweep();
+
+  const std::set<std::pair<std::uint32_t, std::uint32_t>> expected = {{3, 2}};
+  EXPECT_EQ(f.scoped_reach(), expected);
+  // The probes still skip the heartbeated group's peers.
+  const auto probes = f.probe_destinations();
+  EXPECT_EQ(probes.count(1), 0u);
+  EXPECT_EQ(probes.count(2), 0u);
+}
+
+TEST(RosterScope, AllFanoutStillSendsTheEntryOutsideTheHeartbeatedTable) {
+  // `all` fanout: g1's ALIVEs reached n1 and n2, so they get no periodic
+  // g1 entry; the roster nodes outside g1's table still do, so discovery
+  // stays what the cluster-wide broadcast gives.
+  scoped_fixture f(group_maintenance::options{});
+  f.gm.local_join(g1, process_id{0}, true);
+  f.add_member(g1, n1, process_id{1}, true);
+  f.add_member(g1, n2, process_id{2}, true);
+
+  f.gm.note_heartbeat(g1);
+  f.run_one_sweep();
+
+  EXPECT_TRUE(f.broadcasts.empty());
+  const std::set<std::pair<std::uint32_t, std::uint32_t>> expected = {
+      {3, 1}, {4, 1}, {5, 1}};
+  EXPECT_EQ(f.scoped_reach(), expected);
+}
+
+TEST(RosterScope, AHeartbeatOlderThanTheLastSweepSuppressesNothing) {
+  for (const hello_fanout fanout : {hello_fanout::roster, hello_fanout::all}) {
+    scoped_fixture f(group_maintenance::options{fanout});
+    f.gm.local_join(g1, process_id{0}, true);
+    f.add_member(g1, n1, process_id{1}, true);
+    f.gm.note_heartbeat(g1);
+    f.run_one_sweep();  // covered by the heartbeat
+    f.run_one_sweep();  // no heartbeat since the previous sweep
+
+    bool entry_to_n1 = f.scoped_reach().count({1, 1}) > 0;
+    for (const auto& msg : f.broadcasts) {
+      const auto* hello = std::get_if<proto::hello_msg>(&msg);
+      entry_to_n1 |= hello != nullptr && !hello->entries.empty();
+    }
+    EXPECT_TRUE(entry_to_n1) << "fanout " << static_cast<int>(fanout);
+  }
+}
+
+TEST(RosterScope, SilentMemberStillGetsTheEntryOfAHeartbeatedGroup) {
+  // An ALIVE reaches only a node whose link works. A member silent for
+  // kSilentAfter may be cut off; the sweep's HELLO is what lets it find
+  // this node again when the link heals, before either evicts the other.
+  for (const hello_fanout fanout : {hello_fanout::roster, hello_fanout::all}) {
+    scoped_fixture f(group_maintenance::options{fanout});
+    f.gm.local_join(g1, process_id{0}, true);
+    f.add_member(g1, n1, process_id{1}, true);
+    f.add_member(g1, n2, process_id{2}, true);
+    f.sim.run_until(f.sim.now() + group_maintenance::kSilentAfter);
+    f.add_member(g1, n2, process_id{2}, true);  // n2 speaks, n1 stays silent
+    f.gm.note_heartbeat(g1);
+    f.run_one_sweep();
+
+    const auto reach = f.scoped_reach();
+    EXPECT_EQ(reach.count({1, 1}), 1u) << "fanout " << static_cast<int>(fanout);
+    EXPECT_EQ(reach.count({2, 1}), 0u) << "fanout " << static_cast<int>(fanout);
+  }
+}
+
+TEST(RosterScope, CandidacyFlipIsAnnouncedAtOnceDespiteAHeartbeat) {
+  // Only the sweep leaves heartbeated groups out: a demotion's announce
+  // carries the new flag right away, in both fanouts.
+  for (const hello_fanout fanout : {hello_fanout::roster, hello_fanout::all}) {
+    scoped_fixture f(group_maintenance::options{fanout});
+    f.gm.local_join(g1, process_id{0}, true);
+    f.add_member(g1, n1, process_id{1}, true);
+    f.gm.note_heartbeat(g1);
+    f.multicasts.clear();
+    f.broadcasts.clear();
+
+    f.gm.update_local_candidacy(g1, false);
+
+    std::vector<const proto::hello_msg*> hellos;
+    for (const auto& [dsts, msg] : f.multicasts) {
+      const auto* hello = std::get_if<proto::hello_msg>(&msg);
+      if (hello == nullptr || hello->reply_requested) continue;  // a probe
+      hellos.push_back(hello);
+      EXPECT_NE(std::find(dsts.begin(), dsts.end(), n1), dsts.end());
+    }
+    for (const auto& msg : f.broadcasts) {
+      if (const auto* hello = std::get_if<proto::hello_msg>(&msg)) hellos.push_back(hello);
+    }
+    ASSERT_FALSE(hellos.empty()) << "fanout " << static_cast<int>(fanout);
+    for (const auto* hello : hellos) {
+      ASSERT_EQ(hello->entries.size(), 1u);
+      EXPECT_EQ(hello->entries.front().group, g1);
+      EXPECT_FALSE(hello->entries.front().candidate);
+    }
+  }
+}
+
+TEST(RosterScope, ProbeFromAListenerLeavesAListenerTargetUnchanged) {
+  // A listener keeps candidates and itself: another listener's entry from a
+  // discovery probe would never be refreshed and would only be evicted
+  // kEvictionAfter later. The probe is still answered.
+  scoped_fixture f;
+  obs::ring_recorder ring{64};
+  obs::sink sink{nullptr, &ring, n0};
+  f.gm.set_sink(&sink);
+  f.gm.local_join(g1, process_id{0}, /*candidate=*/false);
+  f.add_member(g1, n1, process_id{1}, /*candidate=*/true);
+  const std::vector<member_info> before = f.gm.table(g1).members();
+  const std::uint64_t version = f.gm.table(g1).version();
+  const std::uint64_t events = ring.recorded();
+
+  proto::hello_msg probe;
+  probe.from = n2;
+  probe.inc = 1;
+  probe.reply_requested = true;
+  probe.entries.push_back({g1, process_id{2}, /*candidate=*/false});
+  f.unicasts.clear();
+  f.gm.on_hello(probe, f.sim.now());
+
+  EXPECT_EQ(f.gm.table(g1).members(), before);
+  EXPECT_EQ(f.gm.table(g1).version(), version);
+  EXPECT_EQ(ring.recorded(), events);
+  ASSERT_EQ(f.unicasts.size(), 1u);
+  EXPECT_EQ(f.unicasts.front().first, n2);
+
+  // A candidate's entry still lands.
+  f.add_member(g1, n3, process_id{3}, /*candidate=*/true);
+  EXPECT_NE(f.gm.table(g1).find(process_id{3}), nullptr);
+}
+
+TEST(RosterScope, SnapshotNeverRewritesTheLocalMember) {
+  // A responder's copy of this node's member can carry the flag from before
+  // a demotion. Applied, it would make this node's own snapshots report
+  // itself a candidate, and every listener probing it would keep a copy
+  // that nobody refreshes until it is evicted.
+  scoped_fixture f;
+  f.gm.local_join(g1, process_id{0}, /*candidate=*/false);
+  f.add_member(g1, n1, process_id{1}, /*candidate=*/true);
+  proto::hello_ack_msg stale;
+  stale.from = n1;
+  stale.inc = 1;
+  stale.entries.push_back({g1, process_id{0}, n0, 1, /*candidate=*/true});
+  f.gm.on_hello_ack(stale, f.sim.now());
+
+  const member_info* self = f.gm.table(g1).find(process_id{0});
+  ASSERT_NE(self, nullptr);
+  EXPECT_FALSE(self->candidate);
+
+  proto::hello_msg probe;
+  probe.from = n2;
+  probe.inc = 1;
+  probe.reply_requested = true;
+  probe.entries.push_back({g1, process_id{2}, /*candidate=*/false});
+  f.unicasts.clear();
+  f.gm.on_hello(probe, f.sim.now());
+  ASSERT_EQ(f.unicasts.size(), 1u);
+  const auto* ack = std::get_if<proto::hello_ack_msg>(&f.unicasts.front().second);
+  ASSERT_NE(ack, nullptr);
+  for (const auto& e : ack->entries) EXPECT_NE(e.node, n0) << "reported itself";
 }
 
 TEST(RosterScope, AllFanoutIsByteIdenticalToSeedBehaviour) {

@@ -8,6 +8,7 @@
 #include <set>
 #include <tuple>
 
+#include "election/omega_l.hpp"
 #include "net/sim_network.hpp"
 #include "proto/wire.hpp"
 #include "service/service.hpp"
@@ -457,6 +458,78 @@ TEST(ServiceApi, SetCandidacyFlipsInPlaceWithoutLosingTheLeaderView) {
   const auto* m = c.at(0).members(g1).find(process_id{2});
   ASSERT_NE(m, nullptr);
   EXPECT_FALSE(m->candidate) << "demotion must propagate to peer tables";
+}
+
+TEST(ServiceApi, OmegaLcMembersOutliveEvictionWithoutPeriodicHellos) {
+  // Every Omega_lc member heartbeats its whole table, and each ALIVE payload
+  // is first-hand membership evidence, so once the tables are full no
+  // periodic HELLO goes out, yet nobody is evicted.
+  cluster c(3, election::algorithm::omega_lc);
+  for (std::size_t i = 0; i < 3; ++i) {
+    c.at(i).register_process(process_id{i});
+    c.at(i).join_group(process_id{i}, g1, {});
+  }
+  c.settle(sec(10));
+  std::uint64_t hellos = 0;
+  c.net.set_send_tap([&](node_id, node_id, std::span<const std::byte> bytes) {
+    hellos += proto::peek_kind(bytes) == proto::msg_kind::hello;
+  });
+  c.settle(membership::group_maintenance::kEvictionAfter + sec(10));
+  c.net.set_send_tap({});
+
+  EXPECT_EQ(hellos, 0u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(c.at(i).members(g1).size(), 3u) << "node " << i;
+    EXPECT_EQ(c.at(i).leader(g1), c.at(0).leader(g1)) << "node " << i;
+  }
+}
+
+TEST(ServiceApi, WithdrawalOvertakenByItsOwnEntryReAddsNoContender) {
+  // An Omega_l competition entry and its withdrawal leave the sender back
+  // to back, and the network may deliver the withdrawal first. The entry's
+  // older payload must not re-add the withdrawn contender: the receiver
+  // would follow it, then accuse the live process T_D after its last
+  // payload.
+  cluster c(2, election::algorithm::omega_l);
+  c.services[1].reset();  // node 1's datagrams are written by hand below
+  c.settle(sec(1));
+  c.at(0).register_process(process_id{0});
+  c.at(0).join_group(process_id{0}, g1, {});
+  c.settle(sec(2));
+  ASSERT_EQ(c.at(0).leader(g1), process_id{0});
+
+  net::transport& node1 = c.net.endpoint(node_id{1});
+  const auto send = [&](const proto::wire_message& msg) {
+    node1.send(node_id{0}, proto::encode(msg));
+    c.sim.run_until(c.sim.now() + msec(50));
+  };
+  send(proto::hello_msg{node_id{1}, 1, false, {{g1, process_id{1}, true}}});
+  proto::alive_msg entry;
+  entry.from = node_id{1};
+  entry.inc = 1;
+  entry.send_time = c.sim.now();
+  entry.eta = msec(250);
+  // Accused before node 0 joined: it outranks node 0 while it competes.
+  entry.groups.push_back({.group = g1,
+                          .seq = 1,
+                          .pid = process_id{1},
+                          .candidate = true,
+                          .competing = true,
+                          .accusation_time = time_origin,
+                          .phase = 1});
+  proto::alive_msg withdrawal = entry;
+  withdrawal.groups.front().seq = 2;
+  withdrawal.groups.front().competing = false;
+  send(withdrawal);
+  send(entry);
+
+  EXPECT_EQ(c.at(0).leader(g1), process_id{0});
+  auto* elector = dynamic_cast<election::omega_l*>(c.at(0).elector_for(g1));
+  ASSERT_NE(elector, nullptr);
+  EXPECT_TRUE(elector->competing());
+  c.settle(fd::qos_spec{}.detection_time + sec(1));
+  EXPECT_EQ(c.at(0).stats().accuse_sent, 0u);
+  EXPECT_EQ(c.at(0).leader(g1), process_id{0});
 }
 
 TEST(ServiceApi, DemotedLeaderWithdrawsGracefully) {
