@@ -363,6 +363,25 @@ TEST(RosterScope, AllFanoutStillSendsTheEntryOutsideTheHeartbeatedTable) {
   EXPECT_EQ(f.scoped_reach(), expected);
 }
 
+TEST(RosterScope, AllFanoutLeavesOutOnlyTheHeartbeatedGroupsEntryPerNode) {
+  // `all` fanout, a node in g1 and g2: g1's ALIVEs reached n1, so n1 gets
+  // only g2's entry, while n2 and n3 get both. Each destination's entry set
+  // is what counts, not the order of the calls that carry it.
+  scoped_fixture f(group_maintenance::options{});
+  f.gm.set_cluster_roster({n0, n1, n2, n3});
+  f.gm.local_join(g1, process_id{0}, true);
+  f.gm.local_join(g2, process_id{100}, true);
+  f.add_member(g1, n1, process_id{1}, true);
+
+  f.gm.note_heartbeat(g1);
+  f.run_one_sweep();
+
+  EXPECT_TRUE(f.broadcasts.empty());
+  const std::set<std::pair<std::uint32_t, std::uint32_t>> expected = {
+      {1, 2}, {2, 1}, {2, 2}, {3, 1}, {3, 2}};
+  EXPECT_EQ(f.scoped_reach(), expected);
+}
+
 TEST(RosterScope, AHeartbeatOlderThanTheLastSweepSuppressesNothing) {
   for (const hello_fanout fanout : {hello_fanout::roster, hello_fanout::all}) {
     scoped_fixture f(group_maintenance::options{fanout});
