@@ -136,7 +136,8 @@ int main() {
     cfg.roster = roster;
     cfg.alg = election::algorithm::omega_l;
     cfg.sink = &ws.sink;
-    cfg.causal_stamping = true;  // wire-stamp causally potent datagrams
+    // Causal plane on: causally potent datagrams carry their cause stamp.
+    ws.sink.enable_causal(cfg.inc);
 
     // Service construction and all API calls must happen on the hosting
     // loop's thread (the protocol stack is single-threaded by design).

@@ -100,12 +100,6 @@ experiment::experiment(scenario sc) : sc_(std::move(sc)), root_rng_(sc_.seed) {
     ws.node = node_id{static_cast<std::uint32_t>(i)};
     ws.pid = process_id{static_cast<std::uint32_t>(i)};
     ws.churn = sc_.churn;
-    if (topo_) {
-      const std::size_t region = topo_->region_of(ws.node);
-      if (region < sc_.hierarchy.region_churn.size()) {
-        ws.churn = sc_.hierarchy.region_churn[region];
-      }
-    }
     ws.churn_rng = root_rng_.split();
     nodes_.push_back(std::move(ws));
   }
@@ -199,7 +193,7 @@ void experiment::start_service(workstation& ws) {
   cfg.adaptive = sc_.adaptive;
   if (!obs_.empty()) {
     cfg.sink = &obs_[ws.node.value()]->sink;
-    cfg.causal_stamping = sc_.causal;
+    if (sc_.causal) cfg.sink->enable_causal(cfg.inc);
   }
   // Nodes targeted by a fault_skew step read their skewed wrapper — clock
   // AND timers, since protocol code derives absolute timer deadlines from

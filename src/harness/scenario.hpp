@@ -67,9 +67,6 @@ struct hierarchy_profile {
   /// Links between nodes of *different* regions; nullopt keeps
   /// `scenario::links` for all pairs (region-scoped link profiles).
   std::optional<net::link_profile> inter_region_links;
-  /// Per-region churn overrides (index = region); regions beyond the
-  /// vector's size use `scenario::churn` (region-scoped churn profiles).
-  std::vector<churn_profile> region_churn;
   /// FD QoS of the upper tiers. They join as the background class (the
   /// coordinator's default), so the listener-heavy upper groups relax
   /// heartbeat rates when adaptive.

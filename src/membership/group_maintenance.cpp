@@ -16,13 +16,19 @@ bool live_candidate(const member_info& m, time_point now) {
 }  // namespace
 
 struct group_maintenance::hello_plan {
-  std::vector<node_id> order;  // first-seen destination order
-  std::unordered_map<node_id, std::vector<proto::hello_msg::entry>> entries;
+  /// Entry `entry` given to `dst`, the `pos`-th gift of the plan.
+  struct gift {
+    node_id dst;
+    std::uint32_t pos;
+    std::uint32_t entry;
+  };
+  std::vector<proto::hello_msg::entry> entries;  // one per planned group
+  std::vector<gift> gifts;
 
-  void add(node_id dst, const proto::hello_msg::entry& entry) {
-    auto [it, inserted] = entries.try_emplace(dst);
-    if (inserted) order.push_back(dst);
-    it->second.push_back(entry);
+  /// Gives `dst` the entry planned last.
+  void add(node_id dst) {
+    gifts.push_back({dst, static_cast<std::uint32_t>(gifts.size()),
+                     static_cast<std::uint32_t>(entries.size() - 1)});
   }
 };
 
@@ -37,11 +43,11 @@ void group_maintenance::local_join(group_id group, process_id pid, bool candidat
   auto& state = groups_[group];
   state.local = member_info{pid, self_, inc_, candidate, now};
   apply_upsert(group, pid, self_, inc_, candidate, now);
-  if (!scoped_mode()) {
-    broadcast_hello(/*reply_requested=*/true);
-    return;
+  if (scoped_mode()) {
+    scoped_announce(group);
+  } else if (broadcast_) {
+    broadcast_(build_hello(/*reply_requested=*/true));
   }
-  scoped_announce(group);
 }
 
 void group_maintenance::scoped_announce(group_id group) {
@@ -115,9 +121,9 @@ void group_maintenance::update_local_candidacy(group_id group, bool candidate) {
     scoped_announce(group);
     return;
   }
-  // Demotion (or `all` fanout): the regular emission path carries the new
-  // flag — scoped to whoever needs it, or cluster-wide respectively.
-  broadcast_hello(/*reply_requested=*/false);
+  // Demotion (or `all` fanout): the planner carries the new flag — scoped
+  // to whoever needs it, or cluster-wide respectively.
+  emit_hello(/*sweep=*/false);
 }
 
 void group_maintenance::local_leave(group_id group, process_id pid) {
@@ -252,15 +258,7 @@ void group_maintenance::sweep() {
   // Periodic anti-entropy is a spontaneous causal root: the HELLO goes out
   // unstamped and evictions start their own chains.
   obs::sink::activation causal_scope(sink_);
-  if (scoped_mode()) {
-    emit_scoped_hello(/*periodic=*/true);
-  } else if (multicast_ && !cluster_roster_.empty() &&
-             std::any_of(groups_.begin(), groups_.end(),
-                         [](const auto& g) { return g.second.heartbeated; })) {
-    emit_uncovered_hello();
-  } else {
-    broadcast_hello(/*reply_requested=*/false);  // the seed's bytes
-  }
+  emit_hello(/*sweep=*/true);
   for (auto& [group, state] : groups_) state.heartbeated = false;
   const time_point cutoff = clock_.now() - kEvictionAfter;
   // Iterate over a snapshot of the group ids: an eviction event may re-enter
@@ -288,24 +286,15 @@ void group_maintenance::sweep() {
   }
 }
 
-void group_maintenance::broadcast_hello(bool reply_requested) {
-  // The initial join HELLO (reply_requested) always goes cluster-wide: it
-  // is the discovery bootstrap that seeds the group rosters the scoped
-  // path later relies on. Only the periodic anti-entropy is scoped.
-  if (!reply_requested && scoped_mode()) {
-    emit_scoped_hello(/*periodic=*/false);
-    return;
-  }
-  if (!broadcast_) return;
-  proto::hello_msg hello = build_hello(reply_requested);
-  if (hello.entries.empty()) return;
-  broadcast_(hello);
-}
-
-std::vector<node_id> group_maintenance::scoped_destinations(
-    const group_state& state) const {
+std::vector<node_id> group_maintenance::destinations(const group_state& state) const {
   std::vector<node_id> dsts;
   if (!state.local) return dsts;
+  if (!scoped_mode()) {
+    for (const node_id node : cluster_roster_) {
+      if (node != self_) dsts.push_back(node);
+    }
+    return dsts;
+  }
   const bool local_is_candidate = state.local->candidate;
   const time_point now = clock_.now();
   std::unordered_set<node_id> seen;
@@ -332,29 +321,29 @@ std::unordered_set<node_id> group_maintenance::reached(const group_state& state)
   return nodes;
 }
 
-void group_maintenance::emit_scoped_hello(bool periodic) {
+void group_maintenance::emit_hello(bool sweep) {
+  const bool scoped = scoped_mode();
   hello_plan plan;
   // Every scoped destination counts as covered for the probes below, also
   // one that gets no entry because the group's ALIVEs already reached it.
   std::unordered_set<node_id> covered;
   for (const auto& [group, state] : groups_) {
     if (!state.local) continue;
-    const proto::hello_msg::entry entry{group, state.local->pid,
-                                        state.local->candidate};
-    // The scoped destinations are nodes of the table, which the group's
-    // ALIVEs go to.
+    plan.entries.push_back({group, state.local->pid, state.local->candidate});
+    // A sweep leaves out the nodes this group's ALIVEs reached.
     const std::unordered_set<node_id> skip =
-        periodic ? reached(state) : std::unordered_set<node_id>{};
-    for (const node_id dst : scoped_destinations(state)) {
-      covered.insert(dst);
-      if (skip.count(dst) == 0) plan.add(dst, entry);
+        sweep ? reached(state) : std::unordered_set<node_id>{};
+    for (const node_id dst : destinations(state)) {
+      if (scoped) covered.insert(dst);
+      if (skip.count(dst) == 0) plan.add(dst);
     }
   }
   multicast_plan(plan);
 
-  // Discovery probes: rotate through roster nodes outside the scoped set
-  // with a full reply-requested HELLO, healing lost-join gaps over time.
-  if (cluster_roster_.empty()) return;
+  // Discovery probes (`roster` mode): rotate through roster nodes outside
+  // the scoped set with a full reply-requested HELLO, healing lost-join
+  // gaps over time.
+  if (!scoped || cluster_roster_.empty()) return;
   std::vector<node_id> probes;
   for (std::size_t step = 0;
        step < cluster_roster_.size() && probes.size() < kAntiEntropyProbes;
@@ -371,66 +360,57 @@ void group_maintenance::emit_scoped_hello(bool periodic) {
   multicast_(probes, probe);
 }
 
-void group_maintenance::emit_uncovered_hello() {
-  // A heartbeated group's entry skips the nodes its ALIVEs reached; the
-  // rest of the roster still gets it, so discovery is what the
-  // cluster-wide broadcast gives. Each heartbeated table is read once per
-  // sweep, only the reached nodes need their own entry lists, and every
-  // other roster node shares the full HELLO.
-  std::unordered_map<node_id, std::vector<group_id>> skipped;
-  for (const auto& [group, state] : groups_) {
-    if (!state.local) continue;
-    for (const node_id node : reached(state)) skipped[node].push_back(group);
-  }
-  hello_plan plan;
-  std::vector<node_id> rest;
-  for (const node_id dst : cluster_roster_) {
-    if (dst == self_) continue;
-    const auto it = skipped.find(dst);
-    if (it == skipped.end()) {
-      rest.push_back(dst);
-      continue;
-    }
-    for (const auto& [group, state] : groups_) {
-      if (!state.local ||
-          std::find(it->second.begin(), it->second.end(), group) != it->second.end()) {
-        continue;
-      }
-      plan.add(dst, {group, state.local->pid, state.local->candidate});
-    }
-  }
-  multicast_plan(plan);
-  if (rest.empty()) return;
-  const proto::hello_msg hello = build_hello(/*reply_requested=*/false);
-  if (!hello.entries.empty()) multicast_(rest, hello);
-}
-
 void group_maintenance::multicast_plan(hello_plan& plan) {
-  // Bucket destinations by identical entry lists so the transport fans
-  // each encoding out once. Entries were appended in one pass over
-  // `groups_`, so two destinations covering the same groups hold equal
-  // vectors; the distinct-list count is bounded by the (small) group count.
-  std::vector<std::pair<std::vector<proto::hello_msg::entry>, std::vector<node_id>>>
-      buckets;
-  for (const node_id dst : plan.order) {
-    auto& entries = plan.entries[dst];
-    auto bucket = std::find_if(buckets.begin(), buckets.end(), [&](const auto& b) {
-      return b.first == entries;
-    });
-    if (bucket == buckets.end()) {
-      buckets.emplace_back(std::move(entries), std::vector<node_id>{dst});
-    } else {
-      bucket->second.push_back(dst);
+  // Sorted by destination, each destination's gifts are adjacent and in
+  // planning order, so walking them names its entry set: set 0 is empty,
+  // and a set s that gains entry i (above every entry in s) becomes the set
+  // {s, i}, found or made there. Destinations given the same entries share
+  // a set, and each set goes out as one multicast, encoded once.
+  struct entry_set {
+    std::uint32_t parent = 0;
+    std::uint32_t last = 0;
+  };
+  auto& gifts = plan.gifts;
+  std::sort(gifts.begin(), gifts.end(), [](const auto& a, const auto& b) {
+    return a.dst != b.dst ? a.dst < b.dst : a.pos < b.pos;
+  });
+  std::vector<entry_set> sets(1);
+  // Each destination with its set, at the position of its first gift.
+  std::vector<std::pair<node_id, std::uint32_t>> first(gifts.size());
+  for (std::size_t i = 0; i < gifts.size();) {
+    const hello_plan::gift& head = gifts[i];
+    std::uint32_t set = 0;
+    for (; i < gifts.size() && gifts[i].dst == head.dst; ++i) {
+      std::uint32_t s = 1;
+      while (s < sets.size() &&
+             (sets[s].parent != set || sets[s].last != gifts[i].entry)) {
+        ++s;
+      }
+      if (s == sets.size()) sets.push_back({set, gifts[i].entry});
+      set = s;
     }
+    first[head.pos] = {head.dst, set};
   }
 
+  // One multicast per set, in the order its first destination was planned.
+  std::vector<std::vector<node_id>> set_dsts(sets.size());
+  std::vector<std::uint32_t> order;
+  for (const auto& [dst, set] : first) {
+    if (set == 0) continue;  // no destination's first gift
+    if (set_dsts[set].empty()) order.push_back(set);
+    set_dsts[set].push_back(dst);
+  }
   proto::hello_msg msg;
   msg.from = self_;
   msg.inc = inc_;
   msg.reply_requested = false;
-  for (auto& [entries, dsts] : buckets) {
-    msg.entries = std::move(entries);
-    multicast_(dsts, msg);
+  for (const std::uint32_t set : order) {
+    msg.entries.clear();
+    for (std::uint32_t s = set; s != 0; s = sets[s].parent) {
+      msg.entries.push_back(plan.entries[sets[s].last]);
+    }
+    std::reverse(msg.entries.begin(), msg.entries.end());
+    multicast_(set_dsts[set], msg);
   }
 }
 

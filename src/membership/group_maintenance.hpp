@@ -30,7 +30,13 @@
 //    entry hosted on itself, whose flag may predate a demotion.
 //
 // This module is transport-agnostic: the owner injects send callbacks and
-// a "does the FD still trust this member" predicate.
+// a "does the FD still trust this member" predicate. One planner builds the
+// periodic sweep and the announce of a demotion, in both fanouts: each
+// group's entry goes to that group's destinations (see `hello_fanout`), the
+// sweep leaves out the nodes the group's ALIVEs reached, and destinations
+// that share their entries share one multicast. So the sweep needs the
+// multicast hook; the broadcast hook carries the cluster-wide join and
+// promotion announces and, under `all`, LEAVE.
 #pragma once
 
 #include <functional>
@@ -50,10 +56,11 @@ namespace omega::membership {
 /// Destination policy of the periodic HELLO anti-entropy (and LEAVE).
 ///
 /// `all` reproduces the paper's deployment: every announcement goes to the
-/// whole installation roster. That is the right default for the flat
-/// 12-workstation clusters of the evaluation, but it is the one remaining
-/// all-to-all path in a hierarchical deployment, where a node shares groups
-/// with a handful of peers yet still gossips to all n of them.
+/// whole installation roster (`set_cluster_roster`). That is the right
+/// default for the flat 12-workstation clusters of the evaluation, but it is
+/// the one remaining all-to-all path in a hierarchical deployment, where a
+/// node shares groups with a handful of peers yet still gossips to all n of
+/// them.
 ///
 /// `roster` scopes dissemination to the peers that can use it:
 ///   * a *candidate* member's entry for a group goes to every node hosting
@@ -132,7 +139,8 @@ class group_maintenance {
   };
 
   /// `broadcast` sends to every roster node except self; `unicast` to one;
-  /// `multicast` to an explicit destination set (the scoped path).
+  /// `multicast` to an explicit destination set (the planned sweep and
+  /// demotion announce, snapshot requests, probes, scoped LEAVE).
   using broadcast_fn = std::function<void(const proto::wire_message&)>;
   using unicast_fn = std::function<void(node_id, const proto::wire_message&)>;
   using multicast_fn =
@@ -156,8 +164,9 @@ class group_maintenance {
   /// eviction) emits trace events. Null disables.
   void set_sink(obs::sink* sink) { sink_ = sink; }
 
-  /// Installation roster used by the `roster`-mode discovery probes. Without
-  /// it (or without a multicast hook) the module falls back to `all`.
+  /// Installation roster: the destinations of every `all`-mode sweep and
+  /// demotion announce, and the pool of the `roster`-mode discovery probes
+  /// and first snapshot targets.
   void set_cluster_roster(std::vector<node_id> roster);
 
   /// Switches the dissemination policy at runtime (takes effect from the
@@ -215,32 +224,27 @@ class group_maintenance {
     bool heartbeated = false;
   };
 
-  /// Destinations of one HELLO emission with their entry lists.
+  /// Destinations of one HELLO emission with their entry sets.
   struct hello_plan;
 
   void sweep();
-  void broadcast_hello(bool reply_requested);
-  /// The `roster`-mode anti-entropy emission: per-destination entry sets,
-  /// bucketed into one multicast per distinct set, plus discovery probes.
-  /// `periodic` (the sweep) leaves out each group's entry toward the nodes
-  /// its ALIVEs reached.
-  void emit_scoped_hello(bool periodic);
-  /// The `all`-mode sweep once some group heartbeated: each group's entry
-  /// goes to the roster nodes its ALIVEs did not reach.
-  void emit_uncovered_hello();
-  /// Sends each distinct entry list of `plan` once, to its destinations.
+  /// The one HELLO planner of the sweep and the demotion announce: each
+  /// group's entry goes to its `destinations`, bucketed into one multicast
+  /// per distinct entry set. A `sweep` leaves out each group's entry toward
+  /// the nodes its ALIVEs reached; in `roster` mode discovery probes follow.
+  void emit_hello(bool sweep);
+  /// Sends each distinct entry set of `plan` once, to its destinations.
   void multicast_plan(hello_plan& plan);
   /// The nodes of a heartbeated group's table that need no periodic entry:
   /// those heard from within `kSilentAfter`. Empty for other groups.
   [[nodiscard]] std::unordered_set<node_id> reached(const group_state& state) const;
   [[nodiscard]] bool local_listener(group_id group) const;
-  /// Per-group scoped destination set (candidate -> roster, listener ->
-  /// live candidates' hosts); empty if the group is unknown or has no local
-  /// member.
-  [[nodiscard]] std::vector<node_id> scoped_destinations(
-      const group_state& state) const;
+  /// Per-group destination set of the planner: under `roster`, candidate
+  /// -> group roster, listener -> live candidates' hosts; under `all`, the
+  /// cluster roster minus self. Empty if the group has no local member.
+  [[nodiscard]] std::vector<node_id> destinations(const group_state& state) const;
   [[nodiscard]] bool scoped_mode() const {
-    return opts_.fanout == hello_fanout::roster && multicast_ != nullptr;
+    return opts_.fanout == hello_fanout::roster;
   }
   /// The scoped join/promotion bootstrap: cluster-wide announce plus a
   /// bounded snapshot solicitation targeting `group`'s peers first.

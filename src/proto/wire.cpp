@@ -222,27 +222,6 @@ net::shared_payload encode_shared(const wire_message& msg,
   return pool.seal(w.take());
 }
 
-net::shared_payload encode_cache::get(const wire_message& msg,
-                                      net::payload_pool& pool,
-                                      cause_id cause) {
-  // A stamp makes the envelope unique per send: encode fresh and keep the
-  // cache keyed on the last *unstamped* encoding.
-  if (cause.valid()) return encode_shared(msg, pool, cause);
-  if (cached_ && key_ == msg) {
-    ++hits_;
-    return cached_;
-  }
-  ++misses_;
-  key_ = msg;
-  cached_ = encode_shared(msg, pool);
-  return cached_;
-}
-
-void encode_cache::invalidate() {
-  cached_ = net::shared_payload{};
-  key_ = wire_message{};
-}
-
 bool decode_into(wire_message& out, std::span<const std::byte> bytes,
                  cause_id* cause) {
   byte_reader r(bytes);

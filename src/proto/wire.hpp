@@ -174,34 +174,6 @@ inline constexpr std::uint8_t protocol_version_stamped = 2;
                                                 net::payload_pool& pool,
                                                 cause_id cause = {});
 
-/// Memoizes the encoded bytes of the last message it saw: a periodic
-/// re-broadcast of a byte-identical message — the steady-state HELLO
-/// anti-entropy, whose entries only change on join/leave — returns the
-/// cached refcounted payload instead of re-serializing. A cause-stamped
-/// request always re-encodes (the stamp differs per send) and leaves the
-/// cache untouched; a changed message replaces it. The cached payload pins
-/// one pool buffer while live, released on `invalidate` or destruction.
-/// Single-threaded, like the pool it seals into.
-class encode_cache {
- public:
-  /// Encoded payload for `msg`, from cache when the previous uncached call
-  /// encoded an equal message. Bytes are identical to `encode_shared`.
-  [[nodiscard]] net::shared_payload get(const wire_message& msg,
-                                        net::payload_pool& pool,
-                                        cause_id cause = {});
-
-  void invalidate();
-
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-
- private:
-  wire_message key_;
-  net::shared_payload cached_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
 /// Parses a datagram; returns nullopt on any malformed, truncated,
 /// over-long or wrong-version input. A non-null `cause` receives the
 /// version-2 envelope stamp (invalid for version-1 datagrams).

@@ -9,7 +9,6 @@
 #include "common/ids.hpp"
 #include "election/elector.hpp"
 #include "fd/qos.hpp"
-#include "membership/group_maintenance.hpp"
 #include "obs/sink.hpp"
 
 namespace omega::service {
@@ -25,13 +24,6 @@ struct service_config {
   /// paper's deployment configures per cluster). Join HELLOs (and, under
   /// `hello_fanout::all`, every HELLO/LEAVE) go to every roster node.
   std::vector<node_id> roster;
-  /// Destination policy of the periodic HELLO anti-entropy and of LEAVE:
-  /// `all` (default) broadcasts to the installation roster — the paper's
-  /// behaviour, right for flat deployments where every node shares the one
-  /// group anyway; `roster` scopes each announcement to the group rosters
-  /// that can use it (the hierarchy coordinator requests this, since the
-  /// cluster-wide broadcast is the dominant per-node cost there).
-  membership::hello_fanout hello_fanout = membership::hello_fanout::all;
   /// Which of the three election algorithms this instance runs.
   election::algorithm alg = election::algorithm::omega_lc;
   /// Online QoS re-configuration: the tuning mode and whether the
@@ -40,15 +32,12 @@ struct service_config {
   /// Observability sink (metrics + structured trace), threaded through
   /// every module of the instance. Null (the default) disables the plane;
   /// instrumented sites then cost one pointer compare. The sink must
-  /// outlive the service instance.
+  /// outlive the service instance. Causal tracing (DESIGN.md §7) is the
+  /// sink's switch: once the owner calls `sink->enable_causal(inc)` with
+  /// this instance's incarnation, outbound datagrams carry the sink's
+  /// current cause in a version-2 envelope; with it off they stay
+  /// byte-identical version-1 datagrams.
   obs::sink* sink = nullptr;
-  /// Causal tracing (DESIGN.md §7): propagate cause ids through the sink's
-  /// activation scopes and stamp them into the wire envelopes of causally
-  /// potent datagrams (version-2 envelope). Off by default — stamping off
-  /// is guaranteed byte-identical on the wire and in the trace JSONL to a
-  /// build without the feature (the golden-trace guard pins this). Needs
-  /// `sink` to do anything.
-  bool causal_stamping = false;
 };
 
 /// How a joined process wants to learn about leader changes (paper §4:

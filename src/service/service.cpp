@@ -23,14 +23,16 @@ leader_election_service::leader_election_service(clock_source& clock,
       transport_(transport),
       config_(std::move(config)),
       fd_(clock, timers),
-      gm_(clock, timers, config_.self, config_.inc, {config_.hello_fanout}),
+      gm_(clock, timers, config_.self, config_.inc, {}),
       rate_(fd::qos_spec{}.detection_time / 4),
       alive_timer_(timers) {
   transport_.set_receive_handler([this](const net::datagram& d) { on_datagram(d); });
+  for (const node_id node : config_.roster) {
+    if (node != config_.self) roster_peers_.push_back(node);
+  }
 
   if (config_.sink) {
     config_.sink->set_self(config_.self);
-    if (config_.causal_stamping) config_.sink->enable_causal(config_.inc);
     fd_.set_sink(config_.sink);
     gm_.set_sink(config_.sink);
   }
@@ -42,16 +44,17 @@ leader_election_service::leader_election_service(clock_source& clock,
     reevaluate(g);
   });
   fd_.set_rate_request_fn([this](node_id node, duration eta) {
-    send_to(node, proto::rate_request_msg{config_.self, config_.inc, eta});
+    send({&node, 1}, proto::rate_request_msg{config_.self, config_.inc, eta});
   });
 
-  gm_.set_broadcast([this](const proto::wire_message& msg) { broadcast(msg); });
+  gm_.set_broadcast(
+      [this](const proto::wire_message& msg) { send(roster_peers_, msg); });
   gm_.set_unicast([this](node_id dst, const proto::wire_message& msg) {
-    send_to(dst, msg);
+    send({&dst, 1}, msg);
   });
   gm_.set_multicast(
       [this](const std::vector<node_id>& dsts, const proto::wire_message& msg) {
-        multicast(dsts, msg);
+        send(dsts, msg);
       });
   gm_.set_cluster_roster(config_.roster);
   gm_.set_vouch([this](group_id g, const membership::member_info& m) {
@@ -152,7 +155,7 @@ election::elector_context leader_election_service::make_context(group_id group,
       ev.peer = dst;
       config_.sink->record(ev);
     }
-    send_to(dst, msg);
+    send({&dst, 1}, msg);
   };
   ctx.sink = config_.sink;
   return ctx;
@@ -523,21 +526,16 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
 
   last_alive_sent_ = clock_.now();
   ++stats_.alive_sent;
-  // Eager ALIVEs fired from within an activation (competition entry, rank
-  // worsening) carry the provoking event's stamp; periodic ticks are roots
-  // and go out as plain version-1 datagrams.
-  const cause_id cause =
-      config_.causal_stamping && config_.sink != nullptr
-          ? config_.sink->current_cause()
-          : cause_id{};
 
   auto& msg = std::get<proto::alive_msg>(alive_scratch_);
   msg.from = config_.self;
   msg.inc = config_.inc;
   msg.send_time = clock_.now();
   msg.eta = rate_.effective_eta(clock_.now());
-  // Encode each payload set once into a pool buffer and fan it out by
-  // reference: the 500-node roster costs one encode per set, zero copies.
+  // One send per payload set: the 500-node roster costs one encode per
+  // set, zero copies. Eager ALIVEs fired from within an activation
+  // (competition entry, rank worsening) carry the provoking event's stamp;
+  // periodic ticks are roots and go out as plain version-1 datagrams.
   for (std::size_t s = 1; s < set_dsts_.size(); ++s) {
     if (set_dsts_[s].empty()) continue;
     msg.groups.clear();
@@ -545,18 +543,25 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
       msg.groups.push_back(alive_payloads_[payload_sets_[t].last]);
     }
     std::reverse(msg.groups.begin(), msg.groups.end());
-    transport_.multicast(set_dsts_[s],
-                         proto::encode_shared(alive_scratch_, transport_.pool(), cause));
+    send(set_dsts_[s], alive_scratch_);
   }
 }
 
-// ---- outbound helpers -------------------------------------------------------
+// ---- outbound path ----------------------------------------------------------
 
-void leader_election_service::count_sent(const proto::wire_message& msg) {
+void leader_election_service::count_sent(const proto::wire_message& msg,
+                                         std::size_t destinations) {
   std::visit(overloaded{
-                 [this](const proto::alive_msg&) { /* counted at send_alive */ },
+                 [](const proto::alive_msg&) { /* one per tick, in send_alive_now */ },
                  [this](const proto::accuse_msg&) { ++stats_.accuse_sent; },
-                 [this](const proto::hello_msg&) { ++stats_.hello_sent; },
+                 [this, destinations](const proto::hello_msg& hello) {
+                   ++stats_.hello_sent;
+                   for (const auto& entry : hello.entries) {
+                     auto& per_group = stats_.hello_by_group[entry.group];
+                     ++per_group.hellos;
+                     per_group.destinations += destinations;
+                   }
+                 },
                  [this](const proto::hello_ack_msg&) { ++stats_.hello_ack_sent; },
                  [this](const proto::leave_msg&) { ++stats_.leave_sent; },
                  [this](const proto::rate_request_msg&) { ++stats_.rate_request_sent; },
@@ -564,63 +569,18 @@ void leader_election_service::count_sent(const proto::wire_message& msg) {
              msg);
 }
 
-void leader_election_service::count_hello_destinations(
-    const proto::wire_message& msg, std::uint64_t destinations) {
-  const auto* hello = std::get_if<proto::hello_msg>(&msg);
-  if (hello == nullptr) return;
-  for (const auto& entry : hello->entries) {
-    auto& per_group = stats_.hello_by_group[entry.group];
-    ++per_group.hellos;
-    per_group.destinations += destinations;
-  }
-}
-
-cause_id leader_election_service::outbound_cause(
-    const proto::wire_message& msg) const {
-  if (!config_.causal_stamping || config_.sink == nullptr) return {};
-  if (std::holds_alternative<proto::rate_request_msg>(msg)) return {};
-  return config_.sink->current_cause();
-}
-
-void leader_election_service::send_to(node_id dst, const proto::wire_message& msg) {
-  count_sent(msg);
-  count_hello_destinations(msg, 1);
-  transport_.send(dst,
-                  proto::encode_shared(msg, transport_.pool(), outbound_cause(msg)));
-}
-
-void leader_election_service::broadcast(const proto::wire_message& msg) {
-  count_sent(msg);
-  dst_scratch_.clear();
-  for (node_id node : config_.roster) {
-    if (node != config_.self) dst_scratch_.push_back(node);
-  }
-  count_hello_destinations(msg, dst_scratch_.size());
-  if (dst_scratch_.empty()) return;
-  if (std::holds_alternative<proto::hello_msg>(msg)) {
-    // Steady-state anti-entropy: the same HELLO goes out every period until
-    // membership changes, so reuse the sealed bytes instead of re-encoding.
-    transport_.multicast(dst_scratch_, hello_cache_.get(msg, transport_.pool(),
-                                                        outbound_cause(msg)));
-    return;
-  }
-  transport_.multicast(dst_scratch_,
-                       proto::encode_shared(msg, transport_.pool(),
-                                            outbound_cause(msg)));
-}
-
-void leader_election_service::multicast(const std::vector<node_id>& dsts,
-                                        const proto::wire_message& msg) {
+void leader_election_service::send(std::span<const node_id> dsts,
+                                   const proto::wire_message& msg) {
   if (dsts.empty()) return;
-  count_sent(msg);
-  count_hello_destinations(msg, dsts.size());
-  transport_.multicast(dsts, proto::encode_shared(msg, transport_.pool(),
-                                                  outbound_cause(msg)));
-}
-
-void leader_election_service::set_hello_fanout(membership::hello_fanout fanout) {
-  config_.hello_fanout = fanout;
-  gm_.set_fanout(fanout);
+  count_sent(msg, dsts.size());
+  // The cause the running activation works for: invalid, so a version-1
+  // envelope, unless the sink's causal plane is on. RATE_REQ is FD rate
+  // plumbing, causally inert, and never stamped.
+  const cause_id cause =
+      config_.sink != nullptr && !std::holds_alternative<proto::rate_request_msg>(msg)
+          ? config_.sink->current_cause()
+          : cause_id{};
+  transport_.multicast(dsts, proto::encode_shared(msg, transport_.pool(), cause));
 }
 
 }  // namespace omega::service

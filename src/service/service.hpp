@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -124,14 +125,12 @@ class leader_election_service {
   /// to annotate its groups with tier numbers before joining them.
   [[nodiscard]] obs::sink* observability() const { return config_.sink; }
 
-  /// Switches the membership-dissemination policy at runtime (see
-  /// `service_config::hello_fanout`). The hierarchy coordinator calls this
-  /// with `roster` so hierarchical deployments stop paying for cluster-wide
-  /// HELLO anti-entropy; flat deployments keep the configured default.
-  void set_hello_fanout(membership::hello_fanout fanout);
-  [[nodiscard]] membership::hello_fanout hello_fanout() const {
-    return config_.hello_fanout;
-  }
+  /// Switches the membership-dissemination policy (see
+  /// `membership::hello_fanout`; `all` until called). The hierarchy
+  /// coordinator calls this with `roster` so hierarchical deployments stop
+  /// paying for cluster-wide HELLO anti-entropy; flat deployments keep `all`.
+  void set_hello_fanout(membership::hello_fanout fanout) { gm_.set_fanout(fanout); }
+  [[nodiscard]] membership::hello_fanout hello_fanout() const { return gm_.fanout(); }
 
  private:
   struct group_state {
@@ -184,20 +183,16 @@ class leader_election_service {
   /// withdrawal" final heartbeat).
   void send_alive_now(std::optional<group_id> extra_group = std::nullopt);
 
-  // Outbound helpers.
-  void send_to(node_id dst, const proto::wire_message& msg);
-  void broadcast(const proto::wire_message& msg);
-  void multicast(const std::vector<node_id>& dsts, const proto::wire_message& msg);
-  void count_sent(const proto::wire_message& msg);
-  void count_hello_destinations(const proto::wire_message& msg,
-                                std::uint64_t destinations);
-  /// Cause to stamp into an outbound datagram's wire envelope: the sink's
-  /// current cause when causal stamping is on, except for RATE_REQ (FD rate
-  /// plumbing, causally inert). Invalid = plain version-1 envelope.
-  [[nodiscard]] cause_id outbound_cause(const proto::wire_message& msg) const;
+  /// The one outbound path: counts `msg`, stamps the sink's current cause
+  /// into its envelope (none for RATE_REQ), encodes it once into the
+  /// transport's pool and fans the payload out to `dsts`. Sends nothing,
+  /// and counts nothing, without a destination.
+  void send(std::span<const node_id> dsts, const proto::wire_message& msg);
+  void count_sent(const proto::wire_message& msg, std::size_t destinations);
 
-  /// Reused destination buffer for the fan-out paths (no per-send vector).
-  std::vector<node_id> dst_scratch_;
+  /// The installation roster minus this node: the destinations of a
+  /// cluster-wide announce.
+  std::vector<node_id> roster_peers_;
 
   /// Scratch of `send_alive_now`, reused across ticks so a warm tick
   /// allocates nothing: the sending groups' payloads, the (destination,
@@ -213,12 +208,6 @@ class leader_election_service {
   std::vector<payload_set> payload_sets_;
   std::vector<std::vector<node_id>> set_dsts_;
   proto::wire_message alive_scratch_;
-
-  /// Serialized-bytes cache for the periodic HELLO anti-entropy broadcast:
-  /// between membership changes the message is byte-identical, so the
-  /// re-broadcast reuses one sealed payload instead of re-encoding
-  /// (encode_cache re-encodes automatically on change or cause stamp).
-  proto::encode_cache hello_cache_;
 
   /// Receive scratch for on_datagram: decode_into reuses its vectors, so a
   /// steady stream of ALIVEs parses without allocating. Handlers only see

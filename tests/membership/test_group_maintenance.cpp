@@ -21,6 +21,7 @@ struct gm_fixture {
   sim::simulator sim;
   std::vector<proto::wire_message> broadcasts;
   std::vector<std::pair<node_id, proto::wire_message>> unicasts;
+  std::vector<std::pair<std::vector<node_id>, proto::wire_message>> multicasts;
   std::vector<std::pair<group_id, member_info>> joined;
   std::vector<std::pair<group_id, member_info>> removed;
   std::unordered_set<std::uint32_t> vouched_nodes;  // FD trust by node value
@@ -33,6 +34,11 @@ struct gm_fixture {
     gm.set_unicast([this](node_id dst, const proto::wire_message& m) {
       unicasts.emplace_back(dst, m);
     });
+    gm.set_multicast(
+        [this](const std::vector<node_id>& dsts, const proto::wire_message& m) {
+          multicasts.emplace_back(dsts, m);
+        });
+    gm.set_cluster_roster({n0, n1, n2});
     gm.set_vouch([this](group_id, const member_info& m) {
       return vouched_nodes.count(m.node.value()) > 0;
     });
@@ -116,10 +122,12 @@ TEST(GroupMaintenance, ReplyRequestedHelloGetsSnapshotAck) {
 TEST(GroupMaintenance, PeriodicHelloIsAntiEntropy) {
   gm_fixture f;
   f.gm.local_join(g1, process_id{0}, true);
-  const auto before = f.broadcasts.size();
   f.sim.run_until(f.sim.now() + sec(10));
-  EXPECT_GE(f.broadcasts.size(), before + 4)
-      << "periodic HELLO must keep broadcasting";
+  ASSERT_GE(f.multicasts.size(), 4u) << "periodic HELLO must keep going out";
+  for (const auto& [dsts, msg] : f.multicasts) {
+    EXPECT_EQ(dsts, (std::vector<node_id>{n1, n2}));  // the roster but self
+    EXPECT_NE(std::get_if<proto::hello_msg>(&msg), nullptr);
+  }
 }
 
 TEST(GroupMaintenance, HelloAckPopulatesMembership) {
@@ -275,6 +283,7 @@ TEST(GroupMaintenance, StopSilencesPeriodicHello) {
   const auto before = f.broadcasts.size();
   f.sim.run_until(f.sim.now() + sec(30));
   EXPECT_EQ(f.broadcasts.size(), before);
+  EXPECT_TRUE(f.multicasts.empty());
 }
 
 }  // namespace

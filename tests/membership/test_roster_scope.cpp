@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "membership/group_maintenance.hpp"
@@ -517,45 +518,44 @@ TEST(RosterScope, SnapshotNeverRewritesTheLocalMember) {
 }
 
 TEST(RosterScope, AllFanoutIsByteIdenticalToSeedBehaviour) {
-  // Regression guard for flat deployments: with `hello_fanout::all`, a
-  // module wired with the full scoped tooling (multicast hook, cluster
-  // roster) must emit exactly the same byte stream through exactly the
-  // same hooks as the seed configuration.
-  sim::simulator sim_seed;
-  std::vector<std::vector<std::byte>> seed_bytes;
-  group_maintenance seed_gm(sim_seed, sim_seed, n0, 1, {});
-  seed_gm.set_broadcast([&](const proto::wire_message& m) {
-    seed_bytes.push_back(proto::encode(m));
+  // Regression guard for flat deployments: with `hello_fanout::all`, a node
+  // that heartbeats nothing sends every roster node the seed's byte stream
+  // (the join HELLO, one full HELLO per sweep, the LEAVE), whichever hook
+  // carries each datagram.
+  sim::simulator sim;
+  const std::vector<node_id> roster = {n0, n1, n2, n3};
+  std::map<std::uint32_t, std::vector<std::vector<std::byte>>> received;
+  group_maintenance gm(sim, sim, n0, 1, {});  // fanout defaults to all
+  gm.set_broadcast([&](const proto::wire_message& m) {
+    for (const node_id dst : roster) {
+      if (dst != n0) received[dst.value()].push_back(proto::encode(m));
+    }
   });
-  seed_gm.start();
-
-  sim::simulator sim_new;
-  std::vector<std::vector<std::byte>> new_bytes;
-  bool multicast_used = false;
-  group_maintenance new_gm(sim_new, sim_new, n0, 1, {});  // fanout defaults to all
-  new_gm.set_broadcast([&](const proto::wire_message& m) {
-    new_bytes.push_back(proto::encode(m));
+  gm.set_multicast([&](const std::vector<node_id>& dsts, const proto::wire_message& m) {
+    for (const node_id dst : dsts) received[dst.value()].push_back(proto::encode(m));
   });
-  new_gm.set_multicast([&](const std::vector<node_id>&,
-                           const proto::wire_message&) { multicast_used = true; });
-  new_gm.set_cluster_roster({n0, n1, n2, n3});
+  gm.set_cluster_roster(roster);
+  gm.start();
 
-  const auto drive = [](group_maintenance& gm, sim::simulator& sim) {
-    gm.local_join(g1, process_id{0}, true);
-    proto::hello_msg remote;
-    remote.from = n1;
-    remote.inc = 1;
-    remote.entries.push_back({g1, process_id{1}, true});
-    gm.on_hello(remote, sim.now());
-    sim.run_until(sim.now() + sec(10));
-    gm.local_leave(g1, process_id{0});
-  };
-  new_gm.start();
-  drive(seed_gm, sim_seed);
-  drive(new_gm, sim_new);
+  gm.local_join(g1, process_id{0}, true);
+  proto::hello_msg remote;
+  remote.from = n1;
+  remote.inc = 1;
+  remote.entries.push_back({g1, process_id{1}, true});
+  gm.on_hello(remote, sim.now());
+  sim.run_until(sim.now() + sec(9));  // sweeps at 2, 4, 6 and 8 s
+  gm.local_leave(g1, process_id{0});
 
-  EXPECT_FALSE(multicast_used);
-  EXPECT_EQ(seed_bytes, new_bytes);
+  proto::hello_msg hello{n0, 1, /*reply_requested=*/true, {{g1, process_id{0}, true}}};
+  std::vector<std::vector<std::byte>> seed = {proto::encode(hello)};
+  hello.reply_requested = false;
+  for (int sweep = 0; sweep < 4; ++sweep) seed.push_back(proto::encode(hello));
+  seed.push_back(proto::encode(proto::leave_msg{n0, 1, g1, process_id{0}}));
+
+  EXPECT_EQ(received.size(), 3u);
+  for (const node_id dst : {n1, n2, n3}) {
+    EXPECT_EQ(received[dst.value()], seed) << "node " << dst.value();
+  }
 }
 
 TEST(RosterScope, AllFanoutSnapshotStaysUnscoped) {
@@ -604,22 +604,6 @@ TEST(RosterScope, ScopedSnapshotIntersectsWithTheRequest) {
   for (const auto& e : ack->entries) {
     EXPECT_EQ(e.group, g1) << "scoped snapshot leaked a non-requested group";
   }
-}
-
-TEST(RosterScope, FallsBackToBroadcastWithoutMulticastHook) {
-  // `roster` mode without a multicast hook (old-style wiring) must degrade
-  // to the safe cluster-wide behaviour, not go silent.
-  sim::simulator sim;
-  std::vector<proto::wire_message> broadcasts;
-  group_maintenance::options opts;
-  opts.fanout = hello_fanout::roster;
-  group_maintenance gm(sim, sim, n0, 1, opts);
-  gm.set_broadcast([&](const proto::wire_message& m) { broadcasts.push_back(m); });
-  gm.start();
-  gm.local_join(g1, process_id{0}, true);
-  const auto before = broadcasts.size();
-  sim.run_until(sim.now() + sec(5));
-  EXPECT_GT(broadcasts.size(), before);
 }
 
 }  // namespace

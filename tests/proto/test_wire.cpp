@@ -195,66 +195,6 @@ TEST(Wire, FuzzBitFlippedMessagesNeverCrash) {
   }
 }
 
-TEST(EncodeCache, ReusesBufferForIdenticalMessage) {
-  net::payload_pool pool;
-  encode_cache cache;
-  hello_msg hello;
-  hello.from = node_id{2};
-  hello.inc = 3;
-  hello.entries.push_back({group_id{1}, process_id{2}, true});
-  const wire_message msg{hello};
-
-  const auto a = cache.get(msg, pool);
-  const auto b = cache.get(msg, pool);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  // Same sealed block, not just equal bytes.
-  EXPECT_EQ(a.bytes().data(), b.bytes().data());
-  // Bytes must be exactly what encode_shared would have produced.
-  const auto fresh = encode(msg);
-  ASSERT_EQ(a.size(), fresh.size());
-  EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(), a.bytes().begin()));
-}
-
-TEST(EncodeCache, ReencodesOnChangeAndInvalidate) {
-  net::payload_pool pool;
-  encode_cache cache;
-  hello_msg hello;
-  hello.from = node_id{2};
-  hello.entries.push_back({group_id{1}, process_id{2}, false});
-  const auto a = cache.get(wire_message{hello}, pool);
-
-  hello.entries.push_back({group_id{2}, process_id{2}, true});  // membership change
-  const auto b = cache.get(wire_message{hello}, pool);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_NE(a.bytes().data(), b.bytes().data());
-  ASSERT_TRUE(decode(b.bytes()).has_value());
-
-  cache.invalidate();
-  const auto c = cache.get(wire_message{hello}, pool);
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(c.size(), b.size());
-}
-
-TEST(EncodeCache, CauseStampBypassesCache) {
-  // A causal stamp makes each datagram unique: the cache must encode fresh
-  // and must not poison itself with the stamped bytes.
-  net::payload_pool pool;
-  encode_cache cache;
-  hello_msg hello;
-  hello.from = node_id{1};
-  const wire_message msg{hello};
-  const auto plain = cache.get(msg, pool);
-  const cause_id cause{node_id{1}, 1, 42};
-  const auto stamped = cache.get(msg, pool, cause);
-  EXPECT_NE(stamped.size(), plain.size()) << "v2 envelope carries the stamp";
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 1u) << "stamped sends never count against the cache";
-  const auto again = cache.get(msg, pool);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(again.bytes().data(), plain.bytes().data());
-}
-
 TEST(Wire, AliveMessageSizeIsCompact) {
   // The ALIVE with one group payload is the bandwidth unit of the service;
   // keep an eye on its wire size (paper's overhead figures depend on it).

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "net/sim_network.hpp"
 #include "obs/causal_graph.hpp"
@@ -38,7 +41,7 @@ struct observed_cluster {
       cfg.roster = roster;
       cfg.alg = alg;
       cfg.sink = &o->sink;
-      cfg.causal_stamping = causal;
+      if (causal) o->sink.enable_causal(cfg.inc);
       obs.push_back(std::move(o));
       services.push_back(std::make_unique<leader_election_service>(
           sim, sim, net.endpoint(node_id{i}), cfg));
@@ -330,6 +333,67 @@ TEST(ServiceObs, CausalChainsLinkAcrossNodes) {
     }
   }
   EXPECT_TRUE(cross_node_edge);
+}
+
+TEST(ServiceObs, RateRequestsStayUnstampedWhileAccusationsCarryTheirCause) {
+  // The send path stamps the sink's current cause into every datagram but
+  // a RATE_REQ, which is causally inert FD rate plumbing. Node 2 leaving the
+  // tighter group g2 makes each peer's FD renegotiate node 2's rate while it
+  // handles the LEAVE, inside that LEAVE's causal activation; the crash
+  // makes the survivors accuse the dead leader inside their suspicions'.
+  // With the causal plane off, nothing is stamped.
+  struct sent {
+    time_point at;
+    std::uint8_t version;
+    std::uint8_t kind;
+  };
+  const auto kind = [](proto::msg_kind k) { return static_cast<std::uint8_t>(k); };
+  for (const bool causal : {true, false}) {
+    observed_cluster c(3, election::algorithm::omega_lc, causal);
+    std::vector<sent> wire;
+    c.net.set_send_tap([&](node_id, node_id, std::span<const std::byte> bytes) {
+      wire.push_back({c.sim.now(), std::to_integer<std::uint8_t>(bytes[0]),
+                      std::to_integer<std::uint8_t>(bytes[1])});
+    });
+    join_options tight;
+    tight.qos.detection_time = msec(500);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      c.at(i).register_process(process_id{i});
+      c.at(i).join_group(process_id{i}, g1, {});
+      c.at(i).join_group(process_id{i}, g2, tight);
+    }
+    c.settle(sec(10));
+    c.at(2).leave_group(process_id{2}, g2);
+    c.settle(sec(2));
+    const auto leader = c.at(2).leader(g1);
+    ASSERT_TRUE(leader.has_value());
+    const std::size_t victim = leader->value();
+    ASSERT_NE(victim, 2u);
+    const time_point crash_at = c.sim.now();
+    c.services[victim].reset();
+    c.settle(sec(10));
+
+    std::size_t rate_requests = 0;
+    std::size_t stamped = 0;
+    std::size_t stamped_accusations = 0;
+    for (const sent& d : wire) {
+      if (d.kind == kind(proto::msg_kind::rate_request)) {
+        ++rate_requests;
+        EXPECT_EQ(d.version, proto::protocol_version) << "causal " << causal;
+      }
+      if (d.version != proto::protocol_version_stamped) continue;
+      ++stamped;
+      if (d.kind == kind(proto::msg_kind::accuse) && d.at >= crash_at) {
+        ++stamped_accusations;
+      }
+    }
+    EXPECT_GT(rate_requests, 0u) << "causal " << causal;
+    if (causal) {
+      EXPECT_GT(stamped_accusations, 0u);
+    } else {
+      EXPECT_EQ(stamped, 0u);
+    }
+  }
 }
 
 TEST(ServiceObs, CausalOffLeavesWireAndTraceUnstamped) {
