@@ -240,7 +240,6 @@ void experiment::start_service(workstation& ws) {
   jo.candidate = candidate;
   jo.qos = sc_.qos;
   jo.fd_class = sc_.fd_class;
-  jo.notify = service::notification_mode::interrupt;
 
   ws.svc->join_group(pid, group_, jo,
                      [this, pid](group_id, std::optional<process_id> leader) {

@@ -68,7 +68,6 @@ service::join_options hierarchy_coordinator::join_opts(std::size_t tier,
   const tier_options& t = tier == 0 ? opts_.region : opts_.upper;
   service::join_options jo;
   jo.candidate = candidate;
-  jo.notify = service::notification_mode::interrupt;
   jo.qos = t.qos;
   jo.fd_class = t.fd_class;
   jo.alg = t.alg;

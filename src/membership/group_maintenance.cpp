@@ -1,6 +1,5 @@
 #include "membership/group_maintenance.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -14,23 +13,6 @@ bool live_candidate(const member_info& m, time_point now) {
   return m.candidate && m.last_claim > now - group_maintenance::kClaimLifetime;
 }
 }  // namespace
-
-struct group_maintenance::hello_plan {
-  /// Entry `entry` given to `dst`, the `pos`-th gift of the plan.
-  struct gift {
-    node_id dst;
-    std::uint32_t pos;
-    std::uint32_t entry;
-  };
-  std::vector<proto::hello_msg::entry> entries;  // one per planned group
-  std::vector<gift> gifts;
-
-  /// Gives `dst` the entry planned last.
-  void add(node_id dst) {
-    gifts.push_back({dst, static_cast<std::uint32_t>(gifts.size()),
-                     static_cast<std::uint32_t>(entries.size() - 1)});
-  }
-};
 
 group_maintenance::group_maintenance(clock_source& clock, timer_service& timers,
                                      node_id self, incarnation inc, options opts)
@@ -323,22 +305,36 @@ std::unordered_set<node_id> group_maintenance::reached(const group_state& state)
 
 void group_maintenance::emit_hello(bool sweep) {
   const bool scoped = scoped_mode();
-  hello_plan plan;
+  std::vector<proto::hello_msg::entry> entries;  // one per planned group
+  hello_plan_.clear();
   // Every scoped destination counts as covered for the probes below, also
   // one that gets no entry because the group's ALIVEs already reached it.
   std::unordered_set<node_id> covered;
   for (const auto& [group, state] : groups_) {
     if (!state.local) continue;
-    plan.entries.push_back({group, state.local->pid, state.local->candidate});
+    const auto entry = static_cast<std::uint32_t>(entries.size());
+    entries.push_back({group, state.local->pid, state.local->candidate});
     // A sweep leaves out the nodes this group's ALIVEs reached.
     const std::unordered_set<node_id> skip =
         sweep ? reached(state) : std::unordered_set<node_id>{};
     for (const node_id dst : destinations(state)) {
       if (scoped) covered.insert(dst);
-      if (skip.count(dst) == 0) plan.add(dst);
+      if (skip.count(dst) == 0) hello_plan_.give(dst, entry);
     }
   }
-  multicast_plan(plan);
+  // Destinations given the same entries share one multicast, encoded once.
+  proto::hello_msg msg;
+  msg.from = self_;
+  msg.inc = inc_;
+  msg.reply_requested = false;
+  std::vector<node_id> dsts;
+  hello_plan_.for_each_set([&](std::span<const std::uint32_t> planned,
+                               std::span<const node_id> to) {
+    msg.entries.clear();
+    for (const std::uint32_t i : planned) msg.entries.push_back(entries[i]);
+    dsts.assign(to.begin(), to.end());
+    multicast_(dsts, msg);
+  });
 
   // Discovery probes (`roster` mode): rotate through roster nodes outside
   // the scoped set with a full reply-requested HELLO, healing lost-join
@@ -358,60 +354,6 @@ void group_maintenance::emit_hello(bool sweep) {
   proto::hello_msg probe = build_hello(/*reply_requested=*/true);
   if (probe.entries.empty()) return;
   multicast_(probes, probe);
-}
-
-void group_maintenance::multicast_plan(hello_plan& plan) {
-  // Sorted by destination, each destination's gifts are adjacent and in
-  // planning order, so walking them names its entry set: set 0 is empty,
-  // and a set s that gains entry i (above every entry in s) becomes the set
-  // {s, i}, found or made there. Destinations given the same entries share
-  // a set, and each set goes out as one multicast, encoded once.
-  struct entry_set {
-    std::uint32_t parent = 0;
-    std::uint32_t last = 0;
-  };
-  auto& gifts = plan.gifts;
-  std::sort(gifts.begin(), gifts.end(), [](const auto& a, const auto& b) {
-    return a.dst != b.dst ? a.dst < b.dst : a.pos < b.pos;
-  });
-  std::vector<entry_set> sets(1);
-  // Each destination with its set, at the position of its first gift.
-  std::vector<std::pair<node_id, std::uint32_t>> first(gifts.size());
-  for (std::size_t i = 0; i < gifts.size();) {
-    const hello_plan::gift& head = gifts[i];
-    std::uint32_t set = 0;
-    for (; i < gifts.size() && gifts[i].dst == head.dst; ++i) {
-      std::uint32_t s = 1;
-      while (s < sets.size() &&
-             (sets[s].parent != set || sets[s].last != gifts[i].entry)) {
-        ++s;
-      }
-      if (s == sets.size()) sets.push_back({set, gifts[i].entry});
-      set = s;
-    }
-    first[head.pos] = {head.dst, set};
-  }
-
-  // One multicast per set, in the order its first destination was planned.
-  std::vector<std::vector<node_id>> set_dsts(sets.size());
-  std::vector<std::uint32_t> order;
-  for (const auto& [dst, set] : first) {
-    if (set == 0) continue;  // no destination's first gift
-    if (set_dsts[set].empty()) order.push_back(set);
-    set_dsts[set].push_back(dst);
-  }
-  proto::hello_msg msg;
-  msg.from = self_;
-  msg.inc = inc_;
-  msg.reply_requested = false;
-  for (const std::uint32_t set : order) {
-    msg.entries.clear();
-    for (std::uint32_t s = set; s != 0; s = sets[s].parent) {
-      msg.entries.push_back(plan.entries[sets[s].last]);
-    }
-    std::reverse(msg.entries.begin(), msg.entries.end());
-    multicast_(set_dsts[set], msg);
-  }
 }
 
 void group_maintenance::set_cluster_roster(std::vector<node_id> roster) {

@@ -30,13 +30,14 @@
 //    entry hosted on itself, whose flag may predate a demotion.
 //
 // This module is transport-agnostic: the owner injects send callbacks and
-// a "does the FD still trust this member" predicate. One planner builds the
+// a "does the FD still trust this member" predicate. One emission builds the
 // periodic sweep and the announce of a demotion, in both fanouts: each
 // group's entry goes to that group's destinations (see `hello_fanout`), the
 // sweep leaves out the nodes the group's ALIVEs reached, and destinations
-// that share their entries share one multicast. So the sweep needs the
-// multicast hook; the broadcast hook carries the cluster-wide join and
-// promotion announces and, under `all`, LEAVE.
+// that share their entries share one multicast (`net::fanout_plan`, the
+// heartbeat tick's planner). So the sweep needs the multicast hook; the
+// broadcast hook carries the cluster-wide join and promotion announces and,
+// under `all`, LEAVE.
 #pragma once
 
 #include <functional>
@@ -48,6 +49,7 @@
 #include "common/executor.hpp"
 #include "common/ids.hpp"
 #include "membership/member_table.hpp"
+#include "net/fanout_plan.hpp"
 #include "obs/sink.hpp"
 #include "proto/wire.hpp"
 
@@ -224,17 +226,13 @@ class group_maintenance {
     bool heartbeated = false;
   };
 
-  /// Destinations of one HELLO emission with their entry sets.
-  struct hello_plan;
-
   void sweep();
-  /// The one HELLO planner of the sweep and the demotion announce: each
-  /// group's entry goes to its `destinations`, bucketed into one multicast
-  /// per distinct entry set. A `sweep` leaves out each group's entry toward
-  /// the nodes its ALIVEs reached; in `roster` mode discovery probes follow.
+  /// The HELLO emission of the sweep and the demotion announce: each
+  /// group's entry goes to its `destinations`, one multicast per distinct
+  /// entry set that `hello_plan_` names. A `sweep` leaves out each group's
+  /// entry toward the nodes its ALIVEs reached; in `roster` mode discovery
+  /// probes follow.
   void emit_hello(bool sweep);
-  /// Sends each distinct entry set of `plan` once, to its destinations.
-  void multicast_plan(hello_plan& plan);
   /// The nodes of a heartbeated group's table that need no periodic entry:
   /// those heard from within `kSilentAfter`. Empty for other groups.
   [[nodiscard]] std::unordered_set<node_id> reached(const group_state& state) const;
@@ -281,6 +279,7 @@ class group_maintenance {
   std::unordered_map<group_id, group_state> groups_;
   std::vector<node_id> cluster_roster_;
   std::size_t probe_cursor_ = 0;  // round-robin position in cluster_roster_
+  net::fanout_plan hello_plan_;   // emit_hello's scratch, reused across sweeps
   bool running_ = false;
 };
 

@@ -51,23 +51,6 @@ std::optional<member_info> member_table::remove(process_id pid, incarnation inc)
   return removed;
 }
 
-std::vector<member_info> member_table::remove_node(node_id node) {
-  std::vector<member_info> removed;
-  for (auto it = members_.begin(); it != members_.end();) {
-    if (it->second.node == node) {
-      removed.push_back(it->second);
-      it = members_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (!removed.empty()) {
-    cache_valid_ = false;
-    ++version_;
-  }
-  return removed;
-}
-
 std::vector<member_info> member_table::evict_stale(
     time_point cutoff, const std::function<bool(const member_info&)>& still_vouched) {
   std::vector<member_info> evicted;

@@ -69,9 +69,6 @@ class member_table {
   /// Returns the removed entry, if any.
   std::optional<member_info> remove(process_id pid, incarnation inc);
 
-  /// Removes every member hosted on `node`; returns the removed entries.
-  std::vector<member_info> remove_node(node_id node);
-
   /// Removes members whose last refresh is older than `cutoff` and for whom
   /// `still_vouched(member)` is false. Returns the evicted entries.
   std::vector<member_info> evict_stale(
@@ -101,8 +98,8 @@ class member_table {
   /// sort position is stable). No-op while the cache is invalid.
   void patch_cache(const member_info& m);
   /// Sorted-position insert / erase keeping the cache valid across single
-  /// joins and removals; bulk removals (remove_node, evict_stale) just
-  /// invalidate instead. No-ops while the cache is invalid.
+  /// joins and removals; the bulk removal (evict_stale) just invalidates
+  /// instead. No-ops while the cache is invalid.
   void insert_cache(const member_info& m);
   void erase_cache(process_id pid);
 

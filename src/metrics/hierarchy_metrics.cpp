@@ -81,11 +81,9 @@ void hierarchy_metrics::classify(time_point now, process_id old_leader,
     // Resolved from inside the crashed leader's region: the global vacancy
     // waited on that region's failover + promotion chain.
     ++blamed_regional_;
-    regional_durations_.add(to_seconds(outage));
   } else {
     // An established candidate from another region took over first.
     ++blamed_global_;
-    global_durations_.add(to_seconds(outage));
   }
 }
 

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/stats.hpp"
 #include "common/time.hpp"
 #include "metrics/group_metrics.hpp"
 
@@ -117,13 +116,6 @@ class hierarchy_metrics {
   [[nodiscard]] std::uint64_t outages_unattributed() const {
     return unattributed_;
   }
-  /// Outage durations (seconds) per blame bucket.
-  [[nodiscard]] const running_stats& regional_blame_durations() const {
-    return regional_durations_;
-  }
-  [[nodiscard]] const running_stats& global_blame_durations() const {
-    return global_durations_;
-  }
 
  private:
   void classify(time_point now, process_id old_leader, process_id new_leader,
@@ -149,8 +141,6 @@ class hierarchy_metrics {
   std::uint64_t blamed_global_ = 0;
   std::uint64_t blamed_fault_ = 0;
   std::uint64_t unattributed_ = 0;
-  running_stats regional_durations_;
-  running_stats global_durations_;
   fault_oracle_fn fault_oracle_;
 };
 

@@ -59,8 +59,6 @@ void adversary::stop_flap(node_id from, node_id to) {
   flaps_.erase(link_key(from, to));
 }
 
-void adversary::stop_all_flaps() { flaps_.clear(); }
-
 bool adversary::duty_up(const flap_spec& spec, time_point now) {
   const std::int64_t period = spec.period.count();
   std::int64_t pos = (now.time_since_epoch() + spec.phase).count() % period;

@@ -118,7 +118,6 @@ class adversary {
   // ---- flapping ----------------------------------------------------------
   void flap_link(node_id from, node_id to, flap_spec spec);
   void stop_flap(node_id from, node_id to);
-  void stop_all_flaps();
   /// Duty-cycle verdict for a flapping link at `now`; true (up) for links
   /// with no flap installed.
   [[nodiscard]] bool flap_up(node_id from, node_id to, time_point now) const;

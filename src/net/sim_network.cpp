@@ -79,10 +79,6 @@ void sim_network::set_node_alive(node_id node, bool alive) {
   alive_.at(node.value()) = alive;
 }
 
-bool sim_network::node_alive(node_id node) const {
-  return alive_.at(node.value());
-}
-
 void sim_network::set_all_link_profiles(link_profile profile) {
   for (auto& link : links_) link.set_profile(profile);
 }

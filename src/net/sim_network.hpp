@@ -53,7 +53,6 @@ class sim_network {
 
   /// Marks a node up/down. A down node neither sends nor receives.
   void set_node_alive(node_id node, bool alive);
-  [[nodiscard]] bool node_alive(node_id node) const;
 
   /// Replaces the steady-state profile of every directed link.
   void set_all_link_profiles(link_profile profile);

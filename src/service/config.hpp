@@ -40,19 +40,13 @@ struct service_config {
   obs::sink* sink = nullptr;
 };
 
-/// How a joined process wants to learn about leader changes (paper §4:
-/// "by an interrupt from the service ... or by querying the service").
-enum class notification_mode {
-  interrupt,  // callback on every leader change
-  query,      // the process polls leader()
-};
-
-/// Per-join parameters (paper §4: group id, candidacy, notification mode,
-/// FD QoS).
+/// Per-join parameters (paper §4: group id, candidacy, FD QoS). The
+/// paper's two notification modes need no option: a process learns of
+/// leader changes "by an interrupt from the service" through the join's
+/// callback, "or by querying the service" through `leader()`.
 struct join_options {
   /// Whether this process is willing to lead the group.
   bool candidate = true;
-  notification_mode notify = notification_mode::interrupt;
   /// Election algorithm for this group, overriding the instance-wide
   /// `service_config::alg`. The hierarchy coordinator uses this to run the
   /// link-crash-tolerant omega_lc inside regions while the listener-heavy

@@ -426,18 +426,9 @@ void leader_election_service::reevaluate(group_id group) {
       ev.subject = leader.value_or(process_id::invalid());
       config_.sink->record(ev);
     }
-    if (gs.options.notify == notification_mode::interrupt && gs.on_change) {
-      gs.on_change(group, leader);
-    }
+    if (gs.on_change) gs.on_change(group, leader);
     if (leader_observer_) leader_observer_(group, leader);
   }
-}
-
-void leader_election_service::reevaluate_all() {
-  std::vector<group_id> ids;
-  ids.reserve(groups_.size());
-  for (const auto& [g, gs] : groups_) ids.push_back(g);
-  for (group_id g : ids) reevaluate(g);
 }
 
 // ---- heartbeat engine -------------------------------------------------------
@@ -473,23 +464,10 @@ void leader_election_service::alive_tick() {
 
 void leader_election_service::send_alive_now(std::optional<group_id> extra_group) {
   // Each sending group's payload goes to that group's table only, and each
-  // destination gets one ALIVE with the payloads of every group it shares.
-  // A destination's payload set is an id into `payload_sets_`: id 0 is the
-  // empty set, and a destination whose set s gains payload i (i above every
-  // payload in s) moves to the set {s, i}, found or made there. So the
-  // destinations that share their groups share one id and one encoding.
+  // destination gets one ALIVE with the payloads of every group it shares:
+  // the destinations that share their groups share one encoding.
   alive_payloads_.clear();
-  dst_payloads_.clear();
-  payload_sets_.assign(1, payload_set{});
-  const auto extended = [this](std::uint32_t set, std::uint32_t index) {
-    // A node hosting two members of one group already holds its payload.
-    if (set != 0 && payload_sets_[set].last == index) return set;
-    for (std::uint32_t s = 1; s < payload_sets_.size(); ++s) {
-      if (payload_sets_[s].parent == set && payload_sets_[s].last == index) return s;
-    }
-    payload_sets_.push_back({set, index});
-    return static_cast<std::uint32_t>(payload_sets_.size() - 1);
-  };
+  alive_plan_.clear();
   for (auto& [g, gs] : groups_) {
     const bool include = gs.elector->should_send_alive() ||
                          (extra_group.has_value() && *extra_group == g);
@@ -500,7 +478,7 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
     bool carried = false;
     for (const auto& m : gm_.table(g).members_view()) {
       if (m.node == config_.self) continue;
-      dst_payloads_.emplace_back(m.node, index);
+      alive_plan_.give(m.node, index);
       carried = true;
     }
     if (carried) {
@@ -508,21 +486,7 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
       gm_.note_heartbeat(g);
     }
   }
-  if (dst_payloads_.empty()) return;
-
-  // Sorted, each destination's pairs are adjacent with its payload indices
-  // ascending, so walking them names its set.
-  std::sort(dst_payloads_.begin(), dst_payloads_.end());
-  for (auto& dsts : set_dsts_) dsts.clear();
-  for (std::size_t i = 0; i < dst_payloads_.size();) {
-    const node_id node = dst_payloads_[i].first;
-    std::uint32_t set = 0;
-    for (; i < dst_payloads_.size() && dst_payloads_[i].first == node; ++i) {
-      set = extended(set, dst_payloads_[i].second);
-    }
-    if (set_dsts_.size() <= set) set_dsts_.resize(set + 1);
-    set_dsts_[set].push_back(node);
-  }
+  if (alive_plan_.empty()) return;
 
   last_alive_sent_ = clock_.now();
   ++stats_.alive_sent;
@@ -536,15 +500,12 @@ void leader_election_service::send_alive_now(std::optional<group_id> extra_group
   // set, zero copies. Eager ALIVEs fired from within an activation
   // (competition entry, rank worsening) carry the provoking event's stamp;
   // periodic ticks are roots and go out as plain version-1 datagrams.
-  for (std::size_t s = 1; s < set_dsts_.size(); ++s) {
-    if (set_dsts_[s].empty()) continue;
+  alive_plan_.for_each_set([this, &msg](std::span<const std::uint32_t> payloads,
+                                        std::span<const node_id> dsts) {
     msg.groups.clear();
-    for (std::size_t t = s; t != 0; t = payload_sets_[t].parent) {
-      msg.groups.push_back(alive_payloads_[payload_sets_[t].last]);
-    }
-    std::reverse(msg.groups.begin(), msg.groups.end());
-    send(set_dsts_[s], alive_scratch_);
-  }
+    for (const std::uint32_t i : payloads) msg.groups.push_back(alive_payloads_[i]);
+    send(dsts, alive_scratch_);
+  });
 }
 
 // ---- outbound path ----------------------------------------------------------

@@ -14,7 +14,9 @@
 // destination, and it carries the election payload of every group in which
 // this node is actively transmitting and whose member table holds that
 // destination. So a group's payload reaches exactly its own table, and each
-// payload numbers its own group's heartbeat stream without gaps.
+// payload numbers its own group's heartbeat stream without gaps. The
+// destinations that share a payload set share one encoding; the HELLO
+// sweep groups its entries with the same planner (`net::fanout_plan`).
 //
 // Destroying the instance models a workstation crash: no goodbyes are sent
 // and all volatile state vanishes. The churn injector of the experiment
@@ -36,6 +38,7 @@
 #include "fd/fd_manager.hpp"
 #include "fd/rate_controller.hpp"
 #include "membership/group_maintenance.hpp"
+#include "net/fanout_plan.hpp"
 #include "net/transport.hpp"
 #include "proto/wire.hpp"
 #include "service/config.hpp"
@@ -65,9 +68,10 @@ class leader_election_service {
 
   /// Joins `pid` to `group`. At most one local process may be the node's
   /// member of a given group (the experiments' configuration; see
-  /// DESIGN.md). `on_change` is invoked on every leader change when the
-  /// notification mode is `interrupt`. Returns false if the join is
-  /// rejected (unregistered pid or group already joined locally).
+  /// DESIGN.md). `on_change`, if set, is invoked on every leader change
+  /// (the paper's interrupt mode; `leader()` is its query mode). Returns
+  /// false if the join is rejected (unregistered pid or group already
+  /// joined locally).
   bool join_group(process_id pid, group_id group, const join_options& options,
                   leader_callback on_change = nullptr);
 
@@ -169,7 +173,6 @@ class leader_election_service {
 
   // Election plumbing.
   void reevaluate(group_id group);
-  void reevaluate_all();
   election::elector_context make_context(group_id group, process_id pid,
                                          bool candidate);
 
@@ -195,18 +198,11 @@ class leader_election_service {
   std::vector<node_id> roster_peers_;
 
   /// Scratch of `send_alive_now`, reused across ticks so a warm tick
-  /// allocates nothing: the sending groups' payloads, the (destination,
-  /// payload index) pairs, the distinct payload sets of the destinations
-  /// (`parent` plus payload index `last`; entry 0 is the empty set), the
-  /// destinations of each set, and the ALIVE each set is encoded from.
-  struct payload_set {
-    std::uint32_t parent = 0;
-    std::uint32_t last = 0;
-  };
+  /// allocates nothing: the sending groups' payloads, the plan that gives
+  /// each destination its payloads and names the distinct sets, and the
+  /// ALIVE each set is encoded from.
   std::vector<proto::group_payload> alive_payloads_;
-  std::vector<std::pair<node_id, std::uint32_t>> dst_payloads_;
-  std::vector<payload_set> payload_sets_;
-  std::vector<std::vector<node_id>> set_dsts_;
+  net::fanout_plan alive_plan_;
   proto::wire_message alive_scratch_;
 
   /// Receive scratch for on_datagram: decode_into reuses its vectors, so a

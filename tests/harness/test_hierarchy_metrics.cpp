@@ -88,7 +88,6 @@ TEST(HierarchyMetrics, CrashResolvedInOwnRegionBlamesRegionalFailover) {
   EXPECT_EQ(f.hm.outages_blamed_regional(), 1u);
   EXPECT_EQ(f.hm.outages_blamed_global(), 0u);
   EXPECT_EQ(f.hm.outages_unattributed(), 0u);
-  EXPECT_NEAR(f.hm.regional_blame_durations().mean(), 3.0, 1e-9);
 }
 
 TEST(HierarchyMetrics, CrashResolvedByForeignCandidateBlamesGlobalReelection) {
@@ -102,7 +101,6 @@ TEST(HierarchyMetrics, CrashResolvedByForeignCandidateBlamesGlobalReelection) {
 
   EXPECT_EQ(f.hm.outages_blamed_regional(), 0u);
   EXPECT_EQ(f.hm.outages_blamed_global(), 1u);
-  EXPECT_NEAR(f.hm.global_blame_durations().mean(), 1.0, 1e-9);
 }
 
 TEST(HierarchyMetrics, OutageSpanningRegionalFailoverLandsInExactlyOneBucket) {

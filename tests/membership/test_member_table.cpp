@@ -93,17 +93,6 @@ TEST(MemberTable, RemoveUnknownIsNoop) {
   EXPECT_FALSE(t.remove(process_id{9}, 1).has_value());
 }
 
-TEST(MemberTable, RemoveNodeDropsAllItsProcesses) {
-  member_table t;
-  t.upsert(process_id{1}, node_id{1}, 1, true, time_origin);
-  t.upsert(process_id{2}, node_id{1}, 1, true, time_origin);
-  t.upsert(process_id{3}, node_id{2}, 1, true, time_origin);
-  const auto removed = t.remove_node(node_id{1});
-  EXPECT_EQ(removed.size(), 2u);
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_NE(t.find(process_id{3}), nullptr);
-}
-
 TEST(MemberTable, EvictStaleHonoursVouching) {
   member_table t;
   t.upsert(process_id{1}, node_id{1}, 1, true, time_origin);

@@ -97,9 +97,7 @@ TEST(ServiceApi, InterruptModeFiresOnChanges) {
   int fired = 0;
   std::optional<process_id> last;
   c.at(0).register_process(process_id{0});
-  join_options opts;
-  opts.notify = notification_mode::interrupt;
-  c.at(0).join_group(process_id{0}, g1, opts,
+  c.at(0).join_group(process_id{0}, g1, {},
                      [&](group_id g, std::optional<process_id> leader) {
                        EXPECT_EQ(g, g1);
                        ++fired;
