@@ -61,7 +61,8 @@ harness::scenario make_scenario(std::size_t nodes, bool hier) {
   sc.adaptive.mode = adaptive::tuning_mode::adaptive;
   sc.adaptive.per_link = true;
   if (hier) {
-    sc.hierarchy = harness::hierarchy_profile::with_region_size(kRegionSize);
+    sc.hierarchy = harness::hierarchy_profile::with_regions(
+        (nodes + kRegionSize - 1) / kRegionSize);
     sc.hierarchy.global_qos = bench_qos();
   }
   sc.seed = omega::bench::bench_seed() * 1000003u + nodes;  // same per roster
@@ -80,38 +81,6 @@ struct cell_result {
   double wall_clock_s = 0.0;
   std::uint64_t events_executed = 0;
 };
-
-/// Crashes the node hosting the current agreed (global) leader and returns
-/// the time until every live node agrees on a different live leader.
-double measure_failover(harness::experiment& exp) {
-  auto& sim = exp.simulator();
-  std::optional<process_id> leader = exp.group().agreed_leader();
-  const time_point deadline = sim.now() + sec(30);
-  while (!leader.has_value() && sim.now() < deadline) {
-    sim.run_until(sim.now() + msec(100));
-    leader = exp.group().agreed_leader();
-  }
-  if (!leader.has_value()) return -1.0;  // never settled: report as failure
-
-  const node_id victim{leader->value()};  // harness runs pid i on node i
-  const time_point crash_at = sim.now();
-  exp.crash_node(victim);
-  bool converged = false;
-  while (sim.now() < crash_at + sec(30)) {
-    sim.run_until(sim.now() + msec(25));
-    const auto agreed = exp.group().agreed_leader();
-    if (agreed.has_value() && *agreed != *leader) {
-      converged = true;
-      break;
-    }
-  }
-  // A run that never re-converges is a failed sample, not a ~30 s one.
-  const double recovery_s =
-      converged ? to_seconds(sim.now() - crash_at) : -1.0;
-  exp.recover_node(victim);
-  sim.run_until(sim.now() + sec(30));  // let it rejoin cleanly
-  return recovery_s;
-}
 
 cell_result run_cell(const harness::scenario& sc, double window_s,
                      std::size_t failovers) {
@@ -143,15 +112,9 @@ cell_result run_cell(const harness::scenario& sc, double window_s,
 
   cell_result res;
   const double span_s = to_seconds(sim.now() - window_from);
-  std::uint64_t msgs = 0;
-  std::uint64_t bytes = 0;
-  for (std::size_t n = 0; n < sc.nodes; ++n) {
-    const auto& t = exp.network().traffic(node_id{static_cast<std::uint32_t>(n)});
-    msgs += t.datagrams_sent;
-    bytes += t.bytes_sent;
-  }
-  res.messages_per_s = static_cast<double>(msgs) / span_s;
-  res.bytes_per_s = static_cast<double>(bytes) / span_s;
+  const auto wire = omega::bench::measure_wire_rate(exp, sc.nodes, span_s);
+  res.messages_per_s = wire.messages_per_s;
+  res.bytes_per_s = wire.bytes_per_s;
   res.alive_per_node_per_s =
       static_cast<double>(exp.total_alive_sent() - alive_base) /
       (span_s * static_cast<double>(sc.nodes));
@@ -159,17 +122,9 @@ cell_result run_cell(const harness::scenario& sc, double window_s,
       plan_samples > 0 ? plan_sum / static_cast<double>(plan_samples) : 0.0;
 
   // Failover phase: global detection + re-election time.
-  double sum = 0.0;
-  for (std::size_t k = 0; k < failovers; ++k) {
-    const double t = measure_failover(exp);
-    if (t < 0.0) continue;
-    sum += t;
-    ++res.reelection_samples;
-  }
-  res.reelection_mean_s =
-      res.reelection_samples > 0
-          ? sum / static_cast<double>(res.reelection_samples)
-          : -1.0;
+  const auto series = omega::bench::measure_failovers(exp, failovers);
+  res.reelection_mean_s = series.mean_s;
+  res.reelection_samples = series.samples;
 
   for (std::size_t n = 0; n < sc.nodes; ++n) {
     if (auto* c = exp.node_coordinator(node_id{static_cast<std::uint32_t>(n)})) {

@@ -179,16 +179,10 @@ cell_result run_cell(const harness::scenario& sc, double window_s,
 
   cell_result res;
   const double span_s = to_seconds(sim.now() - window_from);
-  std::uint64_t msgs = 0;
-  std::uint64_t bytes = 0;
-  for (std::size_t n = 0; n < sc.nodes; ++n) {
-    const auto& t = exp.network().traffic(node_id{static_cast<std::uint32_t>(n)});
-    msgs += t.datagrams_sent;
-    bytes += t.bytes_sent;
-  }
-  res.messages_per_s = static_cast<double>(msgs) / span_s;
+  const auto wire = omega::bench::measure_wire_rate(exp, sc.nodes, span_s);
+  res.messages_per_s = wire.messages_per_s;
   res.hello_messages_per_s = static_cast<double>(hello_dgrams) / span_s;
-  res.bytes_per_s = static_cast<double>(bytes) / span_s;
+  res.bytes_per_s = wire.bytes_per_s;
   res.alive_per_node_per_s =
       static_cast<double>(exp.total_alive_sent() - alive_base) /
       (span_s * static_cast<double>(sc.nodes));

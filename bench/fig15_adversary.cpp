@@ -155,38 +155,6 @@ struct cell_result {
   std::uint64_t events_executed = 0;
 };
 
-/// Crashes the node hosting the current agreed (global) leader and returns
-/// the time until every live node agrees on a different live leader
-/// (fig11's measurement, unchanged so the columns compare).
-double measure_failover(harness::experiment& exp) {
-  auto& sim = exp.simulator();
-  std::optional<process_id> leader = exp.group().agreed_leader();
-  const time_point deadline = sim.now() + sec(30);
-  while (!leader.has_value() && sim.now() < deadline) {
-    sim.run_until(sim.now() + msec(100));
-    leader = exp.group().agreed_leader();
-  }
-  if (!leader.has_value()) return -1.0;  // never settled: report as failure
-
-  const node_id victim{leader->value()};  // harness runs pid i on node i
-  const time_point crash_at = sim.now();
-  exp.crash_node(victim);
-  bool converged = false;
-  while (sim.now() < crash_at + sec(30)) {
-    sim.run_until(sim.now() + msec(25));
-    const auto agreed = exp.group().agreed_leader();
-    if (agreed.has_value() && *agreed != *leader) {
-      converged = true;
-      break;
-    }
-  }
-  const double recovery_s =
-      converged ? to_seconds(sim.now() - crash_at) : -1.0;
-  exp.recover_node(victim);
-  sim.run_until(sim.now() + sec(30));  // let it rejoin cleanly
-  return recovery_s;
-}
-
 cell_result run_cell(const harness::scenario& sc, double window_s,
                      std::size_t failovers) {
   omega::bench::wall_timer wall;
@@ -208,29 +176,15 @@ cell_result run_cell(const harness::scenario& sc, double window_s,
 
   cell_result res;
   const double span_s = to_seconds(sim.now() - window_from);
-  std::uint64_t msgs = 0;
-  std::uint64_t bytes = 0;
-  for (std::size_t n = 0; n < sc.nodes; ++n) {
-    const auto& t =
-        exp.network().traffic(node_id{static_cast<std::uint32_t>(n)});
-    msgs += t.datagrams_sent;
-    bytes += t.bytes_sent;
-  }
-  res.messages_per_s = static_cast<double>(msgs) / span_s;
-  res.bytes_per_s = static_cast<double>(bytes) / span_s;
+  const auto wire = omega::bench::measure_wire_rate(exp, sc.nodes, span_s);
+  res.messages_per_s = wire.messages_per_s;
+  res.bytes_per_s = wire.bytes_per_s;
 
-  // Failover phase: global detection + re-election time under the fault.
-  double sum = 0.0;
-  for (std::size_t k = 0; k < failovers; ++k) {
-    const double t = measure_failover(exp);
-    if (t < 0.0) continue;
-    sum += t;
-    ++res.reelection_samples;
-  }
-  res.reelection_mean_s =
-      res.reelection_samples > 0
-          ? sum / static_cast<double>(res.reelection_samples)
-          : -1.0;
+  // Failover phase: global detection + re-election time under the fault
+  // (fig11's measurement, so the columns compare).
+  const auto series = omega::bench::measure_failovers(exp, failovers);
+  res.reelection_mean_s = series.mean_s;
+  res.reelection_samples = series.samples;
 
   if (const net::adversary* adv = exp.fault_plane()) {
     res.faults = adv->totals();

@@ -134,6 +134,15 @@ cmake -B build-asan -S . -DOMEGA_SANITIZE=address,undefined
 cmake --build build-asan -j
 (cd build-asan && ctest --output-on-failure -j"$(nproc)")
 
+# The five simulated BENCH records as committed, kept aside before the
+# figures below regenerate them in place (the record gate after fig15
+# compares against them).
+sim_records=(BENCH_adaptive.json BENCH_perlink.json BENCH_hierarchy.json
+  BENCH_roster.json BENCH_adversary.json)
+committed_records="$(mktemp -d)"
+trap 'rm -rf "$committed_records"' EXIT
+cp "${sim_records[@]}" "$committed_records"/
+
 # Bench smoke: a fast sanity pass over the figure machinery, then the
 # extension figures (BENCH_adaptive.json + BENCH_perlink.json +
 # BENCH_hierarchy.json + BENCH_roster.json at the repo root). fig12 is also
@@ -153,6 +162,53 @@ OMEGA_BENCH_HOURS="${OMEGA_BENCH_HOURS:-0.2}" ./build/fig12_roster_scope
 # part of both ctest passes above, including the ASan+UBSan one.
 OMEGA_BENCH_HOURS="${OMEGA_BENCH_HOURS:-0.2}" ./build/fig15_adversary
 (cd build && ctest -R harness_test_golden_trace --output-on-failure)
+
+# Record gate: the simulated figures are deterministic, so at the stock
+# setting (0.2 h window, seed 42, every roster, the default output paths)
+# each regenerated record must equal the committed one in every value but
+# `wall_clock_s`, the host's time to simulate it. A change that moves a
+# value changed protocol output: commit the regenerated records with it,
+# and say why. BENCH_live and BENCH_sim_hotpath measure host timing and
+# stay out.
+OMEGA_BENCH_HOURS="${OMEGA_BENCH_HOURS:-0.2}" \
+OMEGA_BENCH_SEED="${OMEGA_BENCH_SEED:-42}" \
+  python3 - "$committed_records" "${sim_records[@]}" <<'PY'
+import json, os, sys
+if (os.environ["OMEGA_BENCH_HOURS"] != "0.2"
+        or os.environ["OMEGA_BENCH_SEED"] != "42"
+        or os.environ.get("OMEGA_BENCH_ROSTERS")
+        or os.environ.get("OMEGA_BENCH_JSON")):
+    print("ci.sh: non-stock bench setting, skipping the record gate")
+    sys.exit(0)
+
+def moved(old, new, path):
+    """Yields (path, committed, regenerated) for every differing value."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key != "wall_clock_s":
+                yield from moved(old.get(key), new.get(key), f"{path}.{key}")
+    elif (isinstance(old, list) and isinstance(new, list)
+            and len(old) == len(new)):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from moved(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path, old, new
+
+failed = False
+for name in sys.argv[2:]:
+    with open(os.path.join(sys.argv[1], name)) as fh:
+        committed = json.load(fh)
+    with open(name) as fh:
+        regenerated = json.load(fh)
+    diffs = list(moved(committed, regenerated, ""))
+    for path, old, new in diffs:
+        print(f"ci.sh: record gate: {name} {path or '.'}: committed {old}, "
+              f"regenerated {new}", file=sys.stderr)
+    failed = failed or bool(diffs)
+    if not diffs:
+        print(f"ci.sh: record gate: {name} regenerates equal")
+sys.exit(1 if failed else 0)
+PY
 
 # Hot-path microbench: pure datagram churn through the zero-copy simulated
 # network (DESIGN.md §9). Writes BENCH_sim_hotpath.json; the allocation gate

@@ -1,10 +1,27 @@
 #include "election/elector.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "election/omega_id.hpp"
 #include "election/omega_l.hpp"
 #include "election/omega_lc.hpp"
 
 namespace omega::election {
+
+elector::elector(elector_context ctx) : ctx_(std::move(ctx)) {
+  const auto require = [](bool set, const char* hook) {
+    if (!set) {
+      throw std::invalid_argument(std::string("elector_context::") + hook +
+                                  " is required");
+    }
+  };
+  require(ctx_.clock != nullptr, "clock");
+  require(static_cast<bool>(ctx_.is_trusted), "is_trusted");
+  require(static_cast<bool>(ctx_.members), "members");
+  require(static_cast<bool>(ctx_.members_version), "members_version");
+  require(static_cast<bool>(ctx_.send_accuse), "send_accuse");
+}
 
 std::string_view to_string(algorithm alg) {
   switch (alg) {

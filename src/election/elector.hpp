@@ -13,6 +13,8 @@
 //                  communication-efficient (eventually only the leader
 //                  sends), O(n) messages, but assumes losses are transient.
 //
+// S2 and S3 share one accusation-time core, `accusation_elector`.
+//
 // The elector never touches the network directly: it calls the injected
 // `send_accuse` hook, and tells the service whether this process should
 // currently be emitting ALIVE payloads for the group via
@@ -46,7 +48,10 @@ enum class algorithm {
 
 [[nodiscard]] std::string_view to_string(algorithm alg);
 
-/// Everything an elector needs from its hosting service instance.
+/// Everything an elector needs from its hosting service instance. The
+/// `clock`, `is_trusted`, `members`, `members_version` and `send_accuse`
+/// hooks are required: the elector constructor throws
+/// std::invalid_argument naming a missing one.
 struct elector_context {
   node_id self_node;
   process_id self_pid;
@@ -63,8 +68,7 @@ struct elector_context {
   /// inbound payload, so this must not copy the roster.
   std::function<const std::vector<membership::member_info>&()> members;
   /// Monotonic roster-content version (member_table::version). Lets an
-  /// elector detect membership changes between evaluations without a scan;
-  /// leave null to disable evaluation memoization.
+  /// elector detect membership changes between evaluations without a scan.
   std::function<std::uint64_t()> members_version;
   /// Sends an ACCUSE message to the node hosting the accused process.
   std::function<void(const proto::accuse_msg&, node_id)> send_accuse;
@@ -76,7 +80,7 @@ struct elector_context {
 
 class elector {
  public:
-  explicit elector(elector_context ctx) : ctx_(std::move(ctx)) {}
+  explicit elector(elector_context ctx);
   virtual ~elector() = default;
 
   elector(const elector&) = delete;

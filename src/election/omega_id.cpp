@@ -20,9 +20,7 @@ std::optional<process_id> omega_id::evaluate() {
   std::optional<process_id> best;
   for (const auto& m : ctx_.members()) {
     if (!m.candidate) continue;
-    const bool alive =
-        m.node == ctx_.self_node ? true : (ctx_.is_trusted && ctx_.is_trusted(m.node));
-    if (!alive) continue;
+    if (m.node != ctx_.self_node && !ctx_.is_trusted(m.node)) continue;
     if (!best || m.pid < *best) best = m.pid;
   }
   return best;

@@ -1,12 +1,9 @@
 #include "election/omega_l.hpp"
 
-#include <algorithm>
-
 namespace omega::election {
 
 omega_l::omega_l(elector_context ctx, options opts)
-    : elector(std::move(ctx)), opts_(opts) {
-  self_acc_ = ctx_.clock ? ctx_.clock->now() : time_point{};
+    : accusation_elector(std::move(ctx)), opts_(opts) {
   if (ctx_.candidate) {
     // A joining candidate competes until it hears someone better; its fresh
     // accusation time guarantees it loses against any established leader.
@@ -17,33 +14,18 @@ omega_l::omega_l(elector_context ctx, options opts)
 
 void omega_l::on_alive_payload(node_id from, incarnation inc,
                                const proto::group_payload& payload) {
-  if (payload.pid == ctx_.self_pid) return;
-  auto it = contenders_.find(payload.pid);
-  if (it != contenders_.end() && inc < it->second.inc) return;  // stale
+  if (!admissible(payload.pid, inc)) return;
   if (!payload.competing || !payload.candidate) {
     // A final ALIVE with competing=false is a graceful withdrawal: drop the
     // contender right away instead of waiting for a timeout.
-    if (it != contenders_.end()) {
-      contenders_.erase(it);
-      memo_dirty_ = true;
-    }
+    if (peers_.erase(payload.pid) > 0) memo_dirty_ = true;
     return;
   }
-  const bool existed = it != contenders_.end();
-  contender_state& st = existed ? it->second : contenders_[payload.pid];
-  const contender_state before = st;
-  st.node = from;
-  st.inc = inc;
-  st.candidate = payload.candidate;
-  st.acc_time = std::max(st.acc_time, payload.accusation_time);
-  st.phase = payload.phase;
-  // The steady-state leader heartbeat repeats the same evidence; only an
-  // actual change can affect the next evaluation.
-  if (!existed || before.node != st.node || before.inc != st.inc ||
-      before.candidate != st.candidate || before.acc_time != st.acc_time ||
-      before.phase != st.phase) {
-    memo_dirty_ = true;
-  }
+  record(payload.pid, {.node = from,
+                       .inc = inc,
+                       .candidate = payload.candidate,
+                       .acc_time = payload.accusation_time,
+                       .phase = payload.phase});
 }
 
 void omega_l::on_fd_transition(node_id node, bool trusted) {
@@ -52,92 +34,31 @@ void omega_l::on_fd_transition(node_id node, bool trusted) {
   // Timeout on a contender: accuse it (tagged with the phase we last saw,
   // so a voluntary withdrawal in the meantime makes the accusation stale)
   // and drop it from the competition.
-  const time_point now = ctx_.clock ? ctx_.clock->now() : time_point{};
-  for (auto it = contenders_.begin(); it != contenders_.end();) {
-    const auto& [pid, st] = *it;
-    if (st.node != node) {
+  for (auto it = peers_.begin(); it != peers_.end();) {
+    if (it->second.node != node) {
       ++it;
       continue;
     }
-    if (ctx_.send_accuse) {
-      proto::accuse_msg accuse;
-      accuse.from = ctx_.self_node;
-      accuse.from_inc = ctx_.self_inc;
-      accuse.group = ctx_.group;
-      accuse.target = pid;
-      accuse.target_inc = st.inc;
-      accuse.phase = st.phase;
-      accuse.when = now;
-      ctx_.send_accuse(accuse, node);
-    }
-    it = contenders_.erase(it);
+    accuse(it->first, it->second);
+    it = peers_.erase(it);
   }
 }
 
 void omega_l::on_accuse(const proto::accuse_msg& msg) {
-  if (msg.target != ctx_.self_pid || msg.target_inc != ctx_.self_inc) return;
   // The stability mechanism: only a suspicion of our *current* competition
   // phase can demote us. Accusations earned by voluntary silence carry an
   // older phase and are ignored. (The ablation variant counts everything,
   // which punishes voluntary withdrawal — see options::phase_guard.)
   if (opts_.phase_guard && (!competing_ || msg.phase != phase_)) return;
-  // Idempotency under at-least-once delivery: a suspicion is identified by
-  // (accuser, accuser's suspicion time); replays and reordered older
-  // suspicions from the same accuser must not demote us a second time.
-  auto [it, first] = accuse_processed_.try_emplace(msg.from, msg.when);
-  if (!first) {
-    if (msg.when <= it->second) return;
-    it->second = msg.when;
-  }
-  const time_point now = ctx_.clock ? ctx_.clock->now() : time_point{};
-  if (now > self_acc_) {
-    self_acc_ = now;
-    memo_dirty_ = true;
-  }
+  accusation_elector::on_accuse(msg);
 }
 
-void omega_l::on_member_removed(const membership::member_info& member) {
-  auto it = contenders_.find(member.pid);
-  if (it != contenders_.end() && it->second.inc <= member.inc) {
-    contenders_.erase(it);
-    memo_dirty_ = true;
-  }
-}
-
-std::optional<process_id> omega_l::evaluate() {
-  // Steady-state short-circuit: see the memo contract in the header. The
-  // competing_/phase_ side effects below depend only on `best`, which
-  // cannot differ from the memoized run when no input changed.
-  const std::uint64_t roster_version =
-      ctx_.members_version ? ctx_.members_version() : 0;
-  if (!memo_dirty_ && ctx_.members_version &&
-      roster_version == memo_members_version_) {
-    return memo_result_;
-  }
-
-  // Candidate roster indexed per roster *version*, not per evaluation: the
-  // per-contender linear scan made every evaluation O(contenders * members)
-  // — quadratic in the global group — and during cluster settle many
-  // evaluations share one roster version.
-  if (!candidate_index_valid_ || !ctx_.members_version ||
-      roster_version != candidate_index_version_) {
-    candidate_index_.clear();
-    for (const auto& m : ctx_.members()) {
-      if (m.candidate) candidate_index_.emplace(m.pid, m.inc);
-    }
-    candidate_index_version_ = roster_version;
-    candidate_index_valid_ = ctx_.members_version != nullptr;
-  }
-  const auto is_candidate_member = [&](process_id pid, incarnation inc) {
-    auto it = candidate_index_.find(pid);
-    return it != candidate_index_.end() && it->second == inc;
-  };
-
+std::optional<accusation_elector::rank> omega_l::decide(
+    const std::vector<membership::member_info>&) {
   std::optional<rank> best;
   if (ctx_.candidate) best = rank{self_acc_, ctx_.self_pid};
-  for (const auto& [pid, st] : contenders_) {
-    if (!is_candidate_member(pid, st.inc)) continue;
-    if (!ctx_.is_trusted || !ctx_.is_trusted(st.node)) continue;
+  for (const auto& [pid, st] : peers_) {
+    if (candidate_inc(pid) != st.inc || !ctx_.is_trusted(st.node)) continue;
     const rank r{st.acc_time, pid};
     if (!best || r < *best) best = r;
   }
@@ -151,29 +72,22 @@ std::optional<process_id> omega_l::evaluate() {
     competing_ = false;
     note_competition(false);
   }
-
-  memo_result_ = best ? std::optional<process_id>(best->pid) : std::nullopt;
-  memo_members_version_ = roster_version;
-  memo_dirty_ = false;
-  return memo_result_;
+  return best;
 }
 
 void omega_l::set_candidate(bool candidate) {
   if (ctx_.candidate == candidate) return;
-  ctx_.candidate = candidate;
-  memo_dirty_ = true;
+  accusation_elector::set_candidate(candidate);
   if (candidate) {
     // Same entry semantics as a fresh candidate join: compete until we hear
     // someone better, ranked behind every established contender, in a new
     // phase so accusations earned by the listener silence are stale.
-    self_acc_ = ctx_.clock ? ctx_.clock->now() : time_point{};
     competing_ = true;
     ++phase_;
     note_competition(true);
-  } else {
-    const bool was = competing_;
+  } else if (competing_) {
     competing_ = false;  // the service's reevaluate sends the withdrawal
-    if (was) note_competition(false);
+    note_competition(false);
   }
 }
 
@@ -182,7 +96,7 @@ void omega_l::note_competition(bool entered) {
   obs::trace_event ev;
   ev.kind = entered ? obs::event_kind::competition_enter
                     : obs::event_kind::competition_withdraw;
-  ev.at = ctx_.clock ? ctx_.clock->now() : time_point{};
+  ev.at = ctx_.clock->now();
   ev.group = ctx_.group;
   ev.subject = ctx_.self_pid;
   ev.value = static_cast<double>(phase_);

@@ -2,11 +2,11 @@
 // (paper §6.4; algorithm of Aguilera, Delporte-Gallet, Fauconnier,
 // Toueg [2]).
 //
-// Same (accusation time, pid) ranking as Omega_lc, but a process only
-// counts contenders it hears *directly*, and a process that sees a better
-// contender voluntarily withdraws from the competition by simply ceasing
-// to send ALIVEs. Eventually only the leader transmits — O(n) messages per
-// heartbeat interval instead of O(n^2) (Figure 6).
+// Same (accusation time, pid) ranking as Omega_lc (`accusation_elector`),
+// but a process only counts contenders it hears *directly*, and a process
+// that sees a better contender voluntarily withdraws from the competition
+// by simply ceasing to send ALIVEs. Eventually only the leader transmits —
+// O(n) messages per heartbeat interval instead of O(n^2) (Figure 6).
 //
 // Voluntary silence looks exactly like a crash to everyone else's failure
 // detector, so withdrawn processes get accused. The algorithm's phase
@@ -24,14 +24,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 
-#include "election/elector.hpp"
+#include "election/accusation_elector.hpp"
 
 namespace omega::election {
 
-class omega_l final : public elector {
+class omega_l final : public accusation_elector {
  public:
   struct options {
     /// The phase guard on accusations. Disabling it (ablation) makes
@@ -48,9 +46,7 @@ class omega_l final : public elector {
                         const proto::group_payload& payload) override;
   void on_fd_transition(node_id node, bool trusted) override;
   void on_accuse(const proto::accuse_msg& msg) override;
-  void on_member_removed(const membership::member_info& member) override;
 
-  [[nodiscard]] std::optional<process_id> evaluate() override;
   [[nodiscard]] bool should_send_alive() const override {
     return ctx_.candidate && competing_;
   }
@@ -58,60 +54,23 @@ class omega_l final : public elector {
   [[nodiscard]] std::string_view name() const override {
     return opts_.phase_guard ? "omega_l" : "omega_l_nophase";
   }
-  [[nodiscard]] time_point self_accusation_time() const override { return self_acc_; }
   void set_candidate(bool candidate) override;
 
   [[nodiscard]] bool competing() const { return competing_; }
   [[nodiscard]] std::uint32_t phase() const { return phase_; }
 
  private:
-  struct contender_state {
-    node_id node;
-    incarnation inc = 0;
-    bool candidate = false;
-    time_point acc_time{};
-    std::uint32_t phase = 0;
-  };
-
-  struct rank {
-    time_point acc;
-    process_id pid;
-    friend bool operator<(const rank& a, const rank& b) {
-      if (a.acc != b.acc) return a.acc < b.acc;
-      return a.pid < b.pid;
-    }
-  };
+  /// The competition's winner among the trusted candidate contenders and
+  /// ourselves; entering or leaving the competition follows from it alone,
+  /// so a memoized evaluation skips no state change.
+  [[nodiscard]] std::optional<rank> decide(
+      const std::vector<membership::member_info>& members) override;
 
   void note_competition(bool entered);
 
   options opts_;
-  time_point self_acc_{};
   std::uint32_t phase_ = 0;
   bool competing_ = false;
-  std::unordered_map<process_id, contender_state> contenders_;
-  /// Newest suspicion timestamp processed per accuser — the dedup that
-  /// makes on_accuse idempotent under message duplication (ISSUE 10).
-  std::unordered_map<node_id, time_point> accuse_processed_;
-
-  /// Candidate members by pid (value = incarnation), so the per-contender
-  /// eligibility check is a hash probe instead of a roster scan. Keyed by
-  /// the roster version: candidate-flag and incarnation changes bump it
-  /// (timestamp refreshes, which the index ignores, do not), so the index
-  /// is rebuilt once per roster change rather than once per evaluation.
-  std::unordered_map<process_id, incarnation> candidate_index_;
-  bool candidate_index_valid_ = false;
-  std::uint64_t candidate_index_version_ = 0;
-
-  /// Evaluation memo, same contract as omega_lc's: every input (contenders,
-  /// candidacy, self accusation time, trust verdicts, roster) changes only
-  /// through an observable event, each of which sets memo_dirty_ (roster
-  /// changes bump members_version instead). When nothing changed, the
-  /// result — and therefore the competing_/phase_ transition logic, which
-  /// is a pure function of that result — cannot change either, so the
-  /// cached pid is returned without touching the roster or the FD.
-  bool memo_dirty_ = true;
-  std::optional<process_id> memo_result_;
-  std::uint64_t memo_members_version_ = 0;
 };
 
 }  // namespace omega::election

@@ -1,11 +1,8 @@
 // S2 / Omega_lc: stable leader election tolerating lossy AND crashed links
 // (paper §6.3; algorithm of Aguilera, Delporte-Gallet, Fauconnier, Toueg [4]).
 //
-// Every process tracks its *accusation time* — the last time it was
-// suspected of having crashed (initially its join time, which is what makes
-// a freshly recovered process rank behind any established leader). The
-// accusation time is therefore the stability order: the candidate accused
-// or (re)started least recently leads (DESIGN.md §5). All alive processes
+// Candidates rank by `accusation_elector`'s (accusation time, pid) order:
+// the one accused or (re)started least recently leads. All alive processes
 // broadcast ALIVEs carrying their accusation time plus their current
 // *local leader* choice. Leader selection is two-staged:
 //
@@ -37,15 +34,14 @@
 // (Figure 7).
 #pragma once
 
-#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "election/elector.hpp"
+#include "election/accusation_elector.hpp"
 
 namespace omega::election {
 
-class omega_lc final : public elector {
+class omega_lc final : public accusation_elector {
  public:
   struct options {
     /// Stage-2 local-leader forwarding. Disabling it (ablation) reduces the
@@ -55,42 +51,27 @@ class omega_lc final : public elector {
   };
 
   explicit omega_lc(elector_context ctx) : omega_lc(std::move(ctx), {}) {}
-  omega_lc(elector_context ctx, options opts);
+  omega_lc(elector_context ctx, options opts)
+      : accusation_elector(std::move(ctx)), opts_(opts) {}
 
   void on_alive_payload(node_id from, incarnation inc,
                         const proto::group_payload& payload) override;
   void on_fd_transition(node_id node, bool trusted) override;
-  void on_accuse(const proto::accuse_msg& msg) override;
   void on_member_removed(const membership::member_info& member) override;
 
-  [[nodiscard]] std::optional<process_id> evaluate() override;
   [[nodiscard]] bool should_send_alive() const override { return true; }
   void fill_payload(proto::group_payload& payload) override;
   [[nodiscard]] std::string_view name() const override {
     return opts_.forwarding ? "omega_lc" : "omega_lc_noforward";
   }
-  [[nodiscard]] time_point self_accusation_time() const override { return self_acc_; }
-  void set_candidate(bool candidate) override;
 
  private:
-  struct peer_state {
-    node_id node;
-    incarnation inc = 0;
-    bool candidate = false;
-    time_point acc_time{};
-    process_id local_leader = process_id::invalid();
-    time_point local_leader_acc{};
-  };
-
-  /// (accusation time, pid) lexicographic order; smaller wins.
-  struct rank {
-    time_point acc;
-    process_id pid;
-    friend bool operator<(const rank& a, const rank& b) {
-      if (a.acc != b.acc) return a.acc < b.acc;
-      return a.pid < b.pid;
-    }
-  };
+  [[nodiscard]] std::optional<rank> decide(
+      const std::vector<membership::member_info>& members) override;
+  /// Held-back accusations are rechecked on every evaluation.
+  [[nodiscard]] bool bypass_memo() const override {
+    return !pending_accuse_.empty();
+  }
 
   /// Stage 1 over current membership; also returns the winner's acc time.
   [[nodiscard]] std::optional<rank> local_stage(
@@ -102,51 +83,25 @@ class omega_lc final : public elector {
   /// leader — the evidence that keeps a suspicion from becoming an ACCUSE.
   [[nodiscard]] bool forwarded_by_someone(process_id pid) const;
 
-  void send_accusation(process_id pid, const peer_state& st);
   /// Fires or cancels pending accusations as evidence changes; called from
-  /// evaluate() so it runs after every batch of protocol events.
+  /// decide() so it runs after every batch of protocol events.
   void recheck_pending_accusations();
 
   options opts_;
-  time_point self_acc_{};
-  /// Stage-1 result of the last evaluate(). fill_payload reuses it — every
+  /// Stage-1 result of the last decide(). fill_payload reuses it — every
   /// event that can change stage 1 re-runs evaluate() before the next send,
   /// so the O(roster) scan runs once per event batch, not once more per
   /// outgoing payload.
   std::optional<rank> stage1_cache_;
   bool stage1_cached_ = false;
-  std::unordered_map<process_id, peer_state> peers_;
   /// Directly-suspected candidates whose accusation is suppressed by
   /// forwarding evidence.
   std::unordered_set<process_id> pending_accuse_;
-  /// Newest suspicion timestamp processed per accuser — the dedup that
-  /// makes on_accuse idempotent under message duplication (ISSUE 10).
-  std::unordered_map<node_id, time_point> accuse_processed_;
-
-  /// Candidate members by pid, keyed by roster version (same contract as
-  /// omega_l's index): candidate-flag changes bump the version, timestamp
-  /// refreshes do not, so one rebuild serves every evaluation against the
-  /// same roster.
-  std::unordered_set<process_id> candidate_index_;
-  bool candidate_index_valid_ = false;
-  std::uint64_t candidate_index_version_ = 0;
 
   /// Per-evaluation scratch, cleared on entry. evaluate() runs once per
   /// inbound payload, so rebuilding the map from a cold heap every call
   /// dominated the 500-node benches; clearing keeps its capacity.
   std::unordered_map<process_id, time_point> mentioned_scratch_;
-
-  /// Evaluation memo. evaluate() is a pure function of (peers_, self_acc_,
-  /// trust verdicts, candidacy, roster) — every one of those inputs changes
-  /// only through an observable event (payload that actually changed peer
-  /// state, FD transition, ACCUSE, candidacy flip, roster version bump), so
-  /// between such events the cached result is returned as-is. The memo is
-  /// bypassed while accusations are pending (their recheck is time-driven).
-  /// In steady state this turns the per-ALIVE O(roster) evaluation into
-  /// O(1) — the difference between 2x and >3x on the 500-node bench.
-  bool memo_dirty_ = true;
-  std::optional<process_id> memo_result_;
-  std::uint64_t memo_members_version_ = 0;
 };
 
 }  // namespace omega::election

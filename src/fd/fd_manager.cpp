@@ -273,14 +273,6 @@ void fd_manager::forget_remote_refinements(node_id remote) {
   }
 }
 
-void fd_manager::drop_node(node_id remote) {
-  forget_remote_refinements(remote);
-  if (auto it = remotes_.find(remote); it != remotes_.end()) {
-    forget_trust(remote, *it->second);
-    remotes_.erase(it);
-  }
-}
-
 void fd_manager::forget_trust(node_id remote, const remote_state& state) {
   for (const auto& [group, monitor] : state.monitors) {
     trusted_pairs_.erase(trust_key(group, remote));
@@ -320,10 +312,10 @@ void fd_manager::reconfigure_all() {
     }
   }
   for (node_id node : gc) {
-    // Same hygiene as drop_node: a GC'd remote's per-remote refinements
-    // must not apply to its reincarnation on a possibly different link.
-    // (No monitor is trusted here — GC requires it — but clear the trust
-    // mirror under the same invariant as every other teardown.)
+    // A GC'd remote's per-remote refinements must not apply to its
+    // reincarnation on a possibly different link. (No monitor is trusted
+    // here — GC requires it — but clear the trust mirror under the same
+    // invariant as every other teardown.)
     forget_remote_refinements(node);
     if (auto it = remotes_.find(node); it != remotes_.end()) {
       forget_trust(node, *it->second);

@@ -104,9 +104,6 @@ class fd_manager {
   /// departed tight group stops pinning the remote to a fast rate until
   /// the next periodic refresh.
   void drop(group_id group, node_id remote);
-  /// Drops all state for a remote node (it is known to be gone), including
-  /// any per-remote plan refinements that name it.
-  void drop_node(node_id remote);
 
   /// Starts / stops the periodic reconfiguration loop.
   void start();
@@ -211,7 +208,7 @@ class fd_manager {
            static_cast<std::uint64_t>(remote.value());
   }
   /// Drops every (group, remote) trust entry backed by `state`'s monitors —
-  /// the bulk-teardown paths (incarnation restart, node drop, GC) destroy
+  /// the bulk-teardown paths (incarnation restart, GC) destroy
   /// possibly-trusted monitors without firing transitions, and the mirror
   /// must not outlive them.
   void forget_trust(node_id remote, const remote_state& state);

@@ -37,20 +37,7 @@ experiment::experiment(scenario sc) : sc_(std::move(sc)), root_rng_(sc_.seed) {
   // profiles (intra-region pairs keep `links`, inter-region pairs switch
   // to the WAN-grade profile when one is given).
   if (sc_.hierarchy.enabled) {
-    if (!sc_.hierarchy.tiers.empty()) {
-      // Explicit multi-tier shape (3-tier and deeper compositions).
-      topo_.emplace(hierarchy::topology(sc_.nodes, sc_.hierarchy.tiers));
-    } else {
-      std::size_t regions = sc_.hierarchy.regions;
-      if (regions == 0 && sc_.hierarchy.region_size > 0) {
-        regions = (sc_.nodes + sc_.hierarchy.region_size - 1) /
-                  sc_.hierarchy.region_size;
-      }
-      if (regions == 0 || regions > sc_.nodes) {
-        throw std::invalid_argument("experiment: bad hierarchy region count");
-      }
-      topo_.emplace(hierarchy::topology::two_tier(sc_.nodes, regions));
-    }
+    topo_.emplace(hierarchy::topology(sc_.nodes, sc_.hierarchy.tiers));
     hier_metrics_ = std::make_unique<metrics::hierarchy_metrics>(
         topo_->groups_in_tier(0), [this](process_id pid) {
           // The harness runs pid i on node i.

@@ -50,14 +50,8 @@ struct link_phase {
 /// `experiment_result::regions` / `outages_blamed_*`.
 struct hierarchy_profile {
   bool enabled = false;
-  /// Number of regions; 0 derives it from `region_size`.
-  std::size_t regions = 0;
-  /// Nodes per region when `regions` is 0 (ceil division fills the rest).
-  std::size_t region_size = 0;
-  /// Explicit multi-tier shape: groups per tier, ending in the single
-  /// global group (e.g. {12, 3, 1} = regions -> zones -> global). When
-  /// non-empty it overrides `regions` / `region_size`; when empty the
-  /// shape is the two-tier {regions, 1}.
+  /// The shape: groups per tier, ending in the single global group (e.g.
+  /// {12, 3, 1} = regions -> zones -> global).
   std::vector<std::size_t> tiers;
   /// Roster-scoped HELLO/LEAVE dissemination (the coordinator requests
   /// `membership::hello_fanout::roster` on every service). false keeps the
@@ -73,16 +67,11 @@ struct hierarchy_profile {
   fd::qos_spec global_qos = fd::qos_spec::paper_default();
 
   static hierarchy_profile none() { return {}; }
+  /// Two-tier shape: `regions` leaf groups under one global group.
   static hierarchy_profile with_regions(std::size_t regions) {
     hierarchy_profile h;
     h.enabled = true;
-    h.regions = regions;
-    return h;
-  }
-  static hierarchy_profile with_region_size(std::size_t size) {
-    hierarchy_profile h;
-    h.enabled = true;
-    h.region_size = size;
+    h.tiers = {regions, 1};
     return h;
   }
   /// Three-tier shape: `regions` leaf groups coarsened into `zones` groups

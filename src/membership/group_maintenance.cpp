@@ -160,9 +160,6 @@ void group_maintenance::apply_upsert(group_id group, process_id pid, node_id nod
     case upsert_result::reincarnated:
       note_membership(obs::event_kind::member_join, group, pid, node);
       if (events_.on_member_removed) events_.on_member_removed(group, prior);
-      if (events_.on_member_reincarnated) {
-        events_.on_member_reincarnated(group, *table.find(pid));
-      }
       if (events_.on_member_joined) events_.on_member_joined(group, *table.find(pid));
       break;
     case upsert_result::updated:

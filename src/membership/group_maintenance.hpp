@@ -135,9 +135,6 @@ class group_maintenance {
     std::function<void(group_id, const member_info&)> on_member_joined;
     /// A member left, was evicted, or its old incarnation was replaced.
     std::function<void(group_id, const member_info&)> on_member_removed;
-    /// Convenience signal after `on_member_removed` when the same pid
-    /// immediately re-joined with a newer incarnation.
-    std::function<void(group_id, const member_info&)> on_member_reincarnated;
   };
 
   /// `broadcast` sends to every roster node except self; `unicast` to one;

@@ -92,7 +92,6 @@ leader_election_service::leader_election_service(clock_source& clock,
             }
             reevaluate(g);
           },
-      .on_member_reincarnated = nullptr,
   });
 
   if (config_.adaptive.mode == adaptive::tuning_mode::adaptive) {

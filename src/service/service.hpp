@@ -143,7 +143,6 @@ class leader_election_service {
     join_options options;
     std::unique_ptr<election::elector> elector;
     std::optional<process_id> last_leader;
-    bool announced_leader_once = false;
     bool was_sending = false;
     /// Last self accusation time pushed to peers; a change triggers an
     /// eager ALIVE so demotions propagate in one delay, not one eta.

@@ -1,10 +1,13 @@
 // Shared fixture for elector unit tests: a hand-cranked elector_context
 // with a controllable clock, membership list, trust oracle, and a capture
-// of outgoing ACCUSE messages.
+// of outgoing ACCUSE messages. Its roster version advances on every read,
+// so each evaluation re-reads the roster and the trust oracle: tests may
+// edit `members` and `trusted` directly between evaluations.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <unordered_set>
 #include <vector>
 
@@ -34,6 +37,9 @@ class elector_world {
   std::vector<membership::member_info> members;
   std::unordered_set<node_id> trusted;
   std::vector<sent_accusation> accusations;
+  /// Bumped by add_member/remove_member only, as member_table::version
+  /// moves on roster changes only.
+  std::uint64_t roster_version = 0;
 
   elector_context context(process_id self, bool candidate,
                           incarnation inc = 1) {
@@ -48,6 +54,7 @@ class elector_world {
     ctx.members = [this]() -> const std::vector<membership::member_info>& {
       return members;
     };
+    ctx.members_version = [reads = std::uint64_t{0}]() mutable { return ++reads; };
     ctx.send_accuse = [this](const proto::accuse_msg& m, node_id dst) {
       accusations.push_back({m, dst});
     };
@@ -59,12 +66,14 @@ class elector_world {
                                       incarnation inc = 1) {
     members.push_back({pid, node_id{pid.value()}, inc, candidate, clock.now()});
     trusted.insert(node_id{pid.value()});
+    ++roster_version;
     return members.back();
   }
 
   void remove_member(process_id pid) {
     std::erase_if(members,
                   [&](const membership::member_info& m) { return m.pid == pid; });
+    ++roster_version;
   }
 
   void distrust(process_id pid) { trusted.erase(node_id{pid.value()}); }

@@ -10,8 +10,15 @@
 //       events yields the same leader.
 //   I5. If the local process is the only candidate member and no event ever
 //       mentioned another candidate, it elects itself (liveness baseline).
+//   I6. The evaluation memo is exact: a twin elector that sees the same
+//       events, but whose roster version moves only on join or leave (as
+//       member_table::version does), returns the same leader and self
+//       accusation time and sends as many ACCUSEs at every step as one that
+//       re-reads the roster and the trust oracle on every evaluation.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "common/random.hpp"
@@ -36,6 +43,18 @@ TEST_P(ElectorProperties, RandomEventSoup) {
 
   constexpr process_id self{1};
   auto e = make_elector(alg, w.context(self, /*candidate=*/true));
+  std::size_t twin_accusations = 0;
+  auto twin_ctx = w.context(self, /*candidate=*/true);
+  twin_ctx.members_version = [&w] { return w.roster_version; };
+  twin_ctx.send_accuse = [&](const proto::accuse_msg&, node_id) {
+    ++twin_accusations;
+  };
+  auto twin = make_elector(alg, std::move(twin_ctx));
+  // Every event reaches both electors.
+  const auto both = [&](const auto& event) {
+    event(*e);
+    event(*twin);
+  };
   w.add_member(self);
 
   // A pool of four other processes that randomly join/leave/speak.
@@ -65,8 +84,10 @@ TEST_P(ElectorProperties, RandomEventSoup) {
       case 1: {  // leave / removal
         if (present[pid_num]) {
           present[pid_num] = false;
-          e->on_member_removed({pid, node, incs[pid_num],
-                                /*candidate=*/true, {}});
+          both([&](elector& x) {
+            x.on_member_removed({pid, node, incs[pid_num],
+                                 /*candidate=*/true, {}});
+          });
           w.remove_member(pid);
         }
         break;
@@ -81,7 +102,12 @@ TEST_P(ElectorProperties, RandomEventSoup) {
             /*candidate=*/r.bernoulli(0.9),
             /*competing=*/r.bernoulli(0.8),
             /*phase=*/static_cast<std::uint32_t>(r.uniform_below(4)));
-        e->on_alive_payload(node, inc, p);
+        if (r.bernoulli(0.5)) {  // an Omega_lc sender's stage-1 choice
+          p.local_leader = process_id{
+              1 + static_cast<std::uint32_t>(r.uniform_below(kPool + 1))};
+          p.local_leader_acc = p.accusation_time;
+        }
+        both([&](elector& x) { x.on_alive_payload(node, inc, p); });
         break;
       }
       case 3: {  // FD verdict flip
@@ -91,7 +117,7 @@ TEST_P(ElectorProperties, RandomEventSoup) {
         } else {
           w.trusted.erase(node);
         }
-        e->on_fd_transition(node, trusted);
+        both([&](elector& x) { x.on_fd_transition(node, trusted); });
         break;
       }
       case 4: {  // accusation aimed at us (random phase / incarnation)
@@ -102,7 +128,7 @@ TEST_P(ElectorProperties, RandomEventSoup) {
         accuse.target_inc = r.bernoulli(0.8) ? 1 : 2;
         accuse.phase = static_cast<std::uint32_t>(r.uniform_below(4));
         accuse.when = w.clock.now();
-        e->on_accuse(accuse);
+        both([&](elector& x) { x.on_accuse(accuse); });
         break;
       }
       case 5: {  // accusation aimed at someone else entirely
@@ -110,7 +136,7 @@ TEST_P(ElectorProperties, RandomEventSoup) {
         accuse.target = pid;
         accuse.target_inc = incs[pid_num];
         accuse.phase = 1;
-        e->on_accuse(accuse);
+        both([&](elector& x) { x.on_accuse(accuse); });
         break;
       }
     }
@@ -138,6 +164,13 @@ TEST_P(ElectorProperties, RandomEventSoup) {
     ASSERT_TRUE(payload.candidate) << "I3 violated at step " << step;
 
     ASSERT_EQ(e->evaluate(), leader) << "I4 violated at step " << step;
+
+    ASSERT_EQ(twin->evaluate(), leader) << "I6 violated at step " << step;
+    ASSERT_EQ(twin->evaluate(), leader) << "I6 violated at step " << step;
+    ASSERT_EQ(twin->self_accusation_time(), e->self_accusation_time())
+        << "I6 violated at step " << step;
+    ASSERT_EQ(twin_accusations, w.accusations.size())
+        << "I6 violated at step " << step;
   }
 }
 
@@ -165,6 +198,33 @@ TEST_P(ElectorProperties, SoleCandidateElectsSelf) {
   }
 }
 
+TEST(ElectorContext, MissingHookThrowsNamingIt) {
+  elector_world w;
+  const auto expect_throw_naming = [&](const std::string& hook, auto clear) {
+    for (const algorithm alg :
+         {algorithm::omega_id, algorithm::omega_lc, algorithm::omega_l,
+          algorithm::omega_lc_noforward, algorithm::omega_l_nophase}) {
+      auto ctx = w.context(process_id{1}, true);
+      clear(ctx);
+      try {
+        (void)make_elector(alg, std::move(ctx));
+        ADD_FAILURE() << to_string(alg) << " built without " << hook;
+      } catch (const std::invalid_argument& err) {
+        EXPECT_EQ(std::string(err.what()),
+                  "elector_context::" + hook + " is required");
+      }
+    }
+  };
+  expect_throw_naming("clock", [](elector_context& c) { c.clock = nullptr; });
+  expect_throw_naming("is_trusted",
+                      [](elector_context& c) { c.is_trusted = nullptr; });
+  expect_throw_naming("members", [](elector_context& c) { c.members = nullptr; });
+  expect_throw_naming("members_version",
+                      [](elector_context& c) { c.members_version = nullptr; });
+  expect_throw_naming("send_accuse",
+                      [](elector_context& c) { c.send_accuse = nullptr; });
+}
+
 std::string param_name(const ::testing::TestParamInfo<param>& info) {
   const auto [alg, seed] = info.param;
   std::string name;
@@ -172,6 +232,8 @@ std::string param_name(const ::testing::TestParamInfo<param>& info) {
     case algorithm::omega_id: name = "S1"; break;
     case algorithm::omega_lc: name = "S2"; break;
     case algorithm::omega_l: name = "S3"; break;
+    case algorithm::omega_lc_noforward: name = "S2_noforward"; break;
+    case algorithm::omega_l_nophase: name = "S3_nophase"; break;
   }
   return name + "_seed" + std::to_string(seed);
 }
@@ -180,7 +242,9 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ElectorProperties,
     ::testing::Combine(::testing::Values(algorithm::omega_id,
                                          algorithm::omega_lc,
-                                         algorithm::omega_l),
+                                         algorithm::omega_l,
+                                         algorithm::omega_lc_noforward,
+                                         algorithm::omega_l_nophase),
                        ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u)),
     param_name);
 

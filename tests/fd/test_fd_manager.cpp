@@ -289,7 +289,7 @@ TEST(FdManager, DropForgetsGroupMonitor) {
   f.fd.drop(g1, remote);
   EXPECT_FALSE(f.fd.is_trusted(g1, remote));
   EXPECT_TRUE(f.fd.is_trusted(g2, remote));
-  f.fd.drop_node(remote);
+  f.fd.drop(g2, remote);
   EXPECT_FALSE(f.fd.is_trusted(g2, remote));
   EXPECT_EQ(f.fd.monitor_count(), 0u);
 }
@@ -424,13 +424,23 @@ TEST(FdManager, ClearedPlanReturnsMonitorsToTheDetectionHorizon) {
   EXPECT_FALSE(f.fd.is_trusted(g1, remote));
 }
 
-TEST(FdManager, DropNodeClearsPerRemoteRefinements) {
+TEST(FdManager, SilentRemoteIsCollectedWithItsRefinements) {
   fd_fixture f;
   f.fd.add_group(g1, qos_spec::paper_default());
   f.fd.on_alive(f.alive(1, 1, msec(250)), f.sim.now());
   f.fd.set_params_override(g1, remote, fd_params{msec(100), msec(200), true});
+  const time_point last_heard = f.sim.now();
+
+  // Suspected long before, but kept until the GC horizon has passed.
+  f.sim.run_until(last_heard + fd_manager::kMonitorGcAfter);
+  EXPECT_FALSE(f.fd.is_trusted(g1, remote));
+  EXPECT_EQ(f.fd.monitor_count(), 1u);
   ASSERT_TRUE(f.fd.params_override(g1, remote).has_value());
-  f.fd.drop_node(remote);
+
+  // The first reconfiguration pass past the horizon collects it.
+  f.sim.run_until(last_heard + fd_manager::kMonitorGcAfter +
+                  fd_manager::kReconfigInterval);
+  EXPECT_EQ(f.fd.monitor_count(), 0u);
   EXPECT_FALSE(f.fd.params_override(g1, remote).has_value())
       << "a gone node's refinement must not apply to its reincarnation";
 }

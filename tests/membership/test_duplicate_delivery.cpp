@@ -33,7 +33,6 @@ struct dup_fixture {
             [this](group_id g, const member_info& m) {
               removed.emplace_back(g, m);
             },
-        .on_member_reincarnated = nullptr,
     });
     gm.start();
     gm.local_join(g1, process_id{0}, true);

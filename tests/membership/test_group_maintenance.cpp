@@ -51,7 +51,6 @@ struct gm_fixture {
             [this](group_id g, const member_info& m) {
               removed.emplace_back(g, m);
             },
-        .on_member_reincarnated = nullptr,
     });
     gm.start();
   }
