@@ -4,10 +4,10 @@
 // The paper's parameter plane (and PR 1's adaptation engine) configured a
 // group globally: one (eta, delta) for every monitor in the group, so one
 // bad WAN link dragged every clean LAN link down to the worst link's
-// delta. This figure measures what the layered param_plan buys. Setup: a
-// 12-workstation cluster where 9 nodes sit on a LAN and 3 are reachable
-// only over WAN-grade links (50 ms mean delay, 1% loss). Two adaptive
-// policies run the *same* scenario:
+// delta. This figure measures what per-remote refinements of the group
+// default buy. Setup: a 12-workstation cluster where 9 nodes sit on a LAN
+// and 3 are reachable only over WAN-grade links (50 ms mean delay, 1%
+// loss). Two adaptive policies run the *same* scenario:
 //
 //   group-global — engine_options::per_link = false: every monitor gets
 //                  the point solved from the robust cluster aggregate,

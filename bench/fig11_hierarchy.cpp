@@ -18,7 +18,7 @@
 //          peers plus the global senders.
 //
 // Swept over 30/60/120-node rosters. Measured per cell: total messages/s
-// and bytes/s on the wire, realized ALIVE/node/s, per-remote `param_plan`
+// and bytes/s on the wire, realized ALIVE/node/s, per-remote FD
 // refinement entries per node (the per-link override memory the ROADMAP
 // asked to size), and the global detection + re-election time after
 // crashing the current (global) leader — for the hierarchy that includes
@@ -73,7 +73,7 @@ struct cell_result {
   double messages_per_s = 0.0;  // all datagrams on the wire, cluster total
   double bytes_per_s = 0.0;
   double alive_per_node_per_s = 0.0;
-  double plan_entries_per_node = 0.0;  // per-remote param_plan refinements
+  double plan_entries_per_node = 0.0;  // per-remote FD refinements
   double reelection_mean_s = 0.0;      // crash -> cluster-wide new leader
   std::size_t reelection_samples = 0;
   std::uint64_t promotions = 0;  // hierarchy only

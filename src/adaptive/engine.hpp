@@ -7,10 +7,10 @@
 //   fd_manager link samples ──> link_tracker ──> per-peer windows +
 //                                                robust cluster aggregate
 //                                                      │ (periodic tick)
-//   fd_manager param_plan <── per-group retuner (hysteresis + dwell) <──┘
+//   fd_manager group record <── per-group retuner (hysteresis + dwell) <──┘
 //
-// Adopted operating points are pushed into the failure detector's layered
-// *param_plan*: the point solved from the cluster aggregate becomes the
+// Adopted operating points are pinned in the failure detector's record of
+// the group: the point solved from the cluster aggregate becomes the
 // group default, and every peer with a confident tracked window gets a
 // per-(group, remote) refinement solved from *its own* link estimate — so
 // one bad WAN link no longer drags clean LAN links to its delta. Monitors

@@ -36,9 +36,9 @@
 //
 // One retuner instance serves one group and keeps *per-link* damping
 // state: the group-level point is solved from the tracker's robust
-// cluster aggregate (the base layer of the fd param_plan), and each peer
-// with a confident tracked window gets its own independently damped
-// operating point (the per-remote refinement layer), so a clean LAN link
+// cluster aggregate (the group default in the FD's group record), and each
+// peer with a confident tracked window gets its own independently damped
+// operating point (a per-remote refinement there), so a clean LAN link
 // never inherits a WAN link's delta.
 //
 // Stability: re-solving every estimator tick would let estimate jitter
@@ -142,7 +142,7 @@ class retuner {
     return peers_.find(peer) != peers_.end();
   }
 
-  /// Group-level current point (the param_plan's group-default layer).
+  /// Group-level current point (the FD group record's default).
   [[nodiscard]] const fd::fd_params& current() const { return group_.current; }
   /// Per-peer current point; falls back to the group-level point when the
   /// peer has no refinement.

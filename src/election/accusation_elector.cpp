@@ -36,7 +36,7 @@ void accusation_elector::on_member_removed(const membership::member_info& member
 
 std::optional<process_id> accusation_elector::evaluate() {
   const std::uint64_t version = ctx_.members_version();
-  if (!memo_dirty_ && version == evaluated_version_ && !bypass_memo()) {
+  if (!memo_dirty_ && version == evaluated_version_) {
     return memo_;
   }
   const auto& members = ctx_.members();

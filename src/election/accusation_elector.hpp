@@ -64,10 +64,6 @@ class accusation_elector : public elector {
   /// evaluation.
   [[nodiscard]] virtual std::optional<rank> decide(
       const std::vector<membership::member_info>& members) = 0;
-  /// True while the algorithm has time-driven work that every evaluation
-  /// must redo, even when no input changed.
-  [[nodiscard]] virtual bool bypass_memo() const { return false; }
-
   /// False for our own payload and for one from an incarnation older than
   /// the peer's record.
   [[nodiscard]] bool admissible(process_id pid, incarnation inc) const;

@@ -68,11 +68,6 @@ class omega_lc final : public accusation_elector {
  private:
   [[nodiscard]] std::optional<rank> decide(
       const std::vector<membership::member_info>& members) override;
-  /// Held-back accusations are rechecked on every evaluation.
-  [[nodiscard]] bool bypass_memo() const override {
-    return !pending_accuse_.empty();
-  }
-
   /// Stage 1 over current membership; also returns the winner's acc time.
   [[nodiscard]] std::optional<rank> local_stage(
       const std::vector<membership::member_info>& members) const;
@@ -84,7 +79,9 @@ class omega_lc final : public accusation_elector {
   [[nodiscard]] bool forwarded_by_someone(process_id pid) const;
 
   /// Fires or cancels pending accusations as evidence changes; called from
-  /// decide() so it runs after every batch of protocol events.
+  /// decide(). It reads only the peer map and trust verdicts, which change
+  /// only through events that dirty the memo, so a served memo skips
+  /// nothing.
   void recheck_pending_accusations();
 
   options opts_;

@@ -25,84 +25,85 @@ void fd_manager::set_link_observer(link_observer observer) {
 }
 
 void fd_manager::set_params_override(group_id group, fd_params params) {
-  param_plan& plan = plans_[group];
-  plan.set_group_default(params);
+  auto git = groups_.find(group);
+  if (git == groups_.end()) return;
+  group_record& record = git->second;
+  record.pinned = params;
   // Apply the new delta to existing monitors immediately; rates follow on
   // the next reconfiguration pass (hysteresis applies there as usual).
-  // Remotes with a per-remote refinement keep their more specific layer.
-  // The params cache stays monitor-scoped: a remote not monitored in this
-  // group must not have the group's eta min-combined into its rate.
+  // Remotes with a per-remote refinement keep their more specific point.
   for (auto& [node, state] : remotes_) {
-    if (plan.has_remote(node)) continue;
-    auto it = state->monitors.find(group);
-    if (it == state->monitors.end()) continue;
-    state->params[group] = params;
-    it->second->set_delta(params.delta);
+    if (record.refinements.contains(node)) continue;
+    if (link_record* link = state->find(group)) link->pin(params);
   }
 }
 
 void fd_manager::set_params_override(group_id group, node_id remote,
                                      fd_params params) {
-  plans_[group].set_remote(remote, params);
+  auto git = groups_.find(group);
+  if (git == groups_.end()) return;
+  git->second.refinements[remote] = params;
   auto it = remotes_.find(remote);
   if (it == remotes_.end()) return;
-  auto m = it->second->monitors.find(group);
-  if (m == it->second->monitors.end()) return;
-  it->second->params[group] = params;
-  m->second->set_delta(params.delta);
+  if (link_record* link = it->second->find(group)) link->pin(params);
 }
 
 void fd_manager::clear_params_override(group_id group) {
-  plans_.erase(group);
-  for (auto& [node, state] : remotes_) unpin(group, *state);
-}
-
-void fd_manager::clear_params_override(group_id group, node_id remote) {
-  auto it = plans_.find(group);
-  if (it == plans_.end()) return;
-  it->second.clear_remote(remote);
-  // A group default pins the link again on the next pass; without one the
-  // monitor returns to the detection horizon now.
-  if (it->second.group_default()) return;
-  if (it->second.empty()) plans_.erase(it);
-  if (auto r = remotes_.find(remote); r != remotes_.end()) {
-    unpin(group, *r->second);
+  auto git = groups_.find(group);
+  if (git == groups_.end()) return;
+  git->second.pinned.reset();
+  git->second.refinements.clear();
+  for (auto& [node, state] : remotes_) {
+    if (link_record* link = state->find(group)) {
+      link->monitor->set_delta(std::nullopt);
+    }
   }
 }
 
-void fd_manager::unpin(group_id group, remote_state& state) {
-  auto it = state.monitors.find(group);
-  if (it != state.monitors.end()) it->second->set_delta(std::nullopt);
+void fd_manager::clear_params_override(group_id group, node_id remote) {
+  auto git = groups_.find(group);
+  if (git == groups_.end()) return;
+  git->second.refinements.erase(remote);
+  // A group default pins the link again on the next pass; without one the
+  // monitor returns to the detection horizon now.
+  if (git->second.pinned) return;
+  auto it = remotes_.find(remote);
+  if (it == remotes_.end()) return;
+  if (link_record* link = it->second->find(group)) {
+    link->monitor->set_delta(std::nullopt);
+  }
 }
 
 std::optional<fd_params> fd_manager::params_override(group_id group) const {
-  auto it = plans_.find(group);
-  if (it == plans_.end()) return std::nullopt;
-  return it->second.group_default();
+  auto git = groups_.find(group);
+  if (git == groups_.end()) return std::nullopt;
+  return git->second.pinned;
 }
 
 std::optional<fd_params> fd_manager::params_override(group_id group,
                                                      node_id remote) const {
-  auto it = plans_.find(group);
-  if (it == plans_.end()) return std::nullopt;
-  return it->second.resolve(remote);
+  auto git = groups_.find(group);
+  if (git == groups_.end()) return std::nullopt;
+  return git->second.resolve(remote);
 }
 
 void fd_manager::add_group(group_id group, const qos_spec& qos) {
-  groups_[group] = qos;
+  groups_[group].qos = qos;
 }
 
 void fd_manager::set_group_class(group_id group, std::string label) {
-  classes_[group] = std::move(label);
-  // Cached inter-arrival cells may now point at the wrong class series.
-  for (auto& [node, state] : remotes_) state->hot.clear();
+  auto git = groups_.find(group);
+  if (git == groups_.end()) return;
+  git->second.label = std::move(label);
+  for (auto& [node, state] : remotes_) {
+    if (link_record* link = state->find(group)) {
+      link->interarrival = interarrival_cell(git->second.label);
+    }
+  }
 }
 
-obs::histogram* fd_manager::interarrival_cell(group_id group) {
+obs::histogram* fd_manager::interarrival_cell(const std::string& label) {
   if (sink_ == nullptr || sink_->metrics() == nullptr) return nullptr;
-  static const std::string default_class = "default";
-  auto it = classes_.find(group);
-  const std::string& label = it != classes_.end() ? it->second : default_class;
   // Bounds span the experiments' heartbeat cadences: eta = detection/4
   // puts interactive links around tens of ms and background links at
   // multiple seconds.
@@ -116,64 +117,54 @@ obs::histogram* fd_manager::interarrival_cell(group_id group) {
 
 void fd_manager::remove_group(group_id group) {
   groups_.erase(group);
-  plans_.erase(group);
   for (auto& [node, state] : remotes_) {
-    trusted_pairs_.erase(trust_key(group, node));
     state->lqe.drop_stream(group);
-    state->monitors.erase(group);
-    state->params.erase(group);
-    state->hot.clear();
+    std::erase_if(state->links,
+                  [group](const link_record& l) { return l.group == group; });
   }
 }
 
-heartbeat_monitor& fd_manager::ensure_monitor(group_id group,
-                                              const qos_spec& qos,
+fd_manager::link_record& fd_manager::add_link(group_id group,
+                                              const group_record& record,
                                               node_id remote,
                                               remote_state& state) {
-  auto it = state.monitors.find(group);
-  if (it == state.monitors.end()) {
-    auto monitor = std::make_unique<heartbeat_monitor>(
-        clock_, timers_, qos.detection_time, [this, group, remote](bool trusted) {
-          // Causal root when the edge fires from the monitor's own timeout
-          // (a suspicion is spontaneous evidence); a trust edge raised while
-          // handling an ALIVE is already inside the datagram's activation
-          // and keeps that cause.
-          obs::sink::activation causal_scope(sink_);
-          // Mirror first: the transition handler re-enters is_trusted via
-          // the elector re-evaluation.
-          if (trusted) {
-            trusted_pairs_.insert(trust_key(group, remote));
-          } else {
-            trusted_pairs_.erase(trust_key(group, remote));
-          }
-          if (sink_) {
-            obs::trace_event ev;
-            ev.kind = trusted ? obs::event_kind::suspicion_cleared
-                              : obs::event_kind::suspicion_raised;
-            ev.at = clock_.now();
-            ev.group = group;
-            ev.peer = remote;
-            if (!trusted) {
-              // Staleness of the suspect's evidence: how long since its
-              // last heartbeat (the forensics detection phase reads this).
-              if (auto rit = remotes_.find(remote); rit != remotes_.end()) {
-                auto mit = rit->second->monitors.find(group);
-                if (mit != rit->second->monitors.end()) {
-                  ev.value =
-                      to_seconds(ev.at - mit->second->last_heartbeat());
-                }
-              }
+  auto monitor = std::make_unique<heartbeat_monitor>(
+      clock_, timers_, record.qos.detection_time,
+      [this, group, remote](bool trusted) {
+        // Causal root when the edge fires from the monitor's own timeout
+        // (a suspicion is spontaneous evidence); a trust edge raised while
+        // handling an ALIVE is already inside the datagram's activation
+        // and keeps that cause.
+        obs::sink::activation causal_scope(sink_);
+        if (sink_) {
+          obs::trace_event ev;
+          ev.kind = trusted ? obs::event_kind::suspicion_cleared
+                            : obs::event_kind::suspicion_raised;
+          ev.at = clock_.now();
+          ev.group = group;
+          ev.peer = remote;
+          if (!trusted) {
+            // Staleness of the suspect's evidence: how long since its
+            // last heartbeat (the forensics detection phase reads this).
+            if (const link_record* link = find_link(group, remote)) {
+              ev.value = to_seconds(ev.at - link->monitor->last_heartbeat());
             }
-            sink_->record(ev);
           }
-          if (on_transition_) on_transition_(group, remote, trusted);
-        });
-    if (auto pinned = params_override(group, remote)) {
-      monitor->set_delta(pinned->delta);
-    }
-    it = state.monitors.emplace(group, std::move(monitor)).first;
-  }
-  return *it->second;
+          sink_->record(ev);
+        }
+        // The monitor set its verdict before calling back, so an
+        // is_trusted from inside the handler already reads the new edge.
+        if (on_transition_) on_transition_(group, remote, trusted);
+      });
+  if (auto pinned = record.resolve(remote)) monitor->set_delta(pinned->delta);
+  return state.links.emplace_back(link_record{
+      group, std::move(monitor), std::nullopt, interarrival_cell(record.label)});
+}
+
+const fd_manager::link_record* fd_manager::find_link(group_id group,
+                                                     node_id remote) const {
+  auto it = remotes_.find(remote);
+  return it != remotes_.end() ? it->second->find(group) : nullptr;
 }
 
 void fd_manager::on_alive(const proto::alive_msg& msg, time_point recv_time) {
@@ -189,10 +180,7 @@ void fd_manager::on_alive(const proto::alive_msg& msg, time_point recv_time) {
     // describe this incarnation, and it holds none of our rate requests.
     state.inc = msg.inc;
     state.lqe.reset();
-    forget_trust(msg.from, state);
-    state.monitors.clear();
-    state.params.clear();
-    state.hot.clear();
+    state.links.clear();
     state.last_requested_eta = duration{0};
   }
   // Node-level inter-arrival gap, taken before last_heard is overwritten;
@@ -208,75 +196,46 @@ void fd_manager::on_alive(const proto::alive_msg& msg, time_point recv_time) {
   std::size_t observed_n = 0;
 
   for (const auto& payload : msg.groups) {
-    // Hot path: one linear probe of the positive cache instead of two hash
-    // lookups (groups_ + monitors) per carried payload.
-    const remote_state::hot_entry* entry = nullptr;
-    for (const auto& e : state.hot) {
-      if (e.group == payload.group) {
-        entry = &e;
-        break;
-      }
-    }
-    if (entry == nullptr) {
+    link_record* link = state.find(payload.group);
+    if (link == nullptr) {
       auto git = groups_.find(payload.group);
       if (git == groups_.end()) continue;  // not ours
-      heartbeat_monitor* mon =
-          &ensure_monitor(payload.group, git->second, msg.from, state);
-      state.hot.push_back({payload.group, mon, interarrival_cell(payload.group)});
-      entry = &state.hot.back();
+      link = &add_link(payload.group, git->second, msg.from, state);
     }
     state.lqe.on_sequence(payload.group, payload.seq);
-    if (have_gap && entry->interarrival != nullptr && observed_n < 4) {
+    if (have_gap && link->interarrival != nullptr && observed_n < 4) {
       bool seen = false;
       for (std::size_t i = 0; i < observed_n; ++i) {
-        if (observed[i] == entry->interarrival) {
+        if (observed[i] == link->interarrival) {
           seen = true;
           break;
         }
       }
       if (!seen) {
-        observed[observed_n++] = entry->interarrival;
-        entry->interarrival->observe(to_seconds(gap));
+        observed[observed_n++] = link->interarrival;
+        link->interarrival->observe(to_seconds(gap));
       }
     }
-    entry->monitor->on_heartbeat(msg.send_time, msg.eta);
+    // Last use of `link`: the trust edge this may raise can re-enter and
+    // erase records.
+    link->monitor->on_heartbeat(msg.send_time, msg.eta);
   }
   if (on_link_sample_) on_link_sample_(msg.from, state.lqe.estimate(), recv_time);
 }
 
 void fd_manager::drop(group_id group, node_id remote) {
-  if (auto plan = plans_.find(group); plan != plans_.end()) {
-    plan->second.clear_remote(remote);
-    if (plan->second.empty()) plans_.erase(plan);
+  if (auto git = groups_.find(group); git != groups_.end()) {
+    git->second.refinements.erase(remote);
   }
   auto it = remotes_.find(remote);
   if (it == remotes_.end()) return;
-  trusted_pairs_.erase(trust_key(group, remote));
   it->second->lqe.drop_stream(group);
-  it->second->monitors.erase(group);
-  it->second->params.erase(group);
-  it->second->hot.clear();
+  std::erase_if(it->second->links,
+                [group](const link_record& l) { return l.group == group; });
   // The dropped group may have been the one pinning this remote to a fast
   // heartbeat rate; renegotiate from the remaining groups immediately
   // instead of leaving the stale request in force until the next refresh.
   renegotiate_rate(remote, *it->second, clock_.now());
-}
-
-void fd_manager::forget_remote_refinements(node_id remote) {
-  for (auto it = plans_.begin(); it != plans_.end();) {
-    it->second.clear_remote(remote);
-    if (it->second.empty()) {
-      it = plans_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void fd_manager::forget_trust(node_id remote, const remote_state& state) {
-  for (const auto& [group, monitor] : state.monitors) {
-    trusted_pairs_.erase(trust_key(group, remote));
-  }
 }
 
 void fd_manager::start() {
@@ -305,22 +264,17 @@ void fd_manager::reconfigure_all() {
     // GC: remotes silent for a long time with no trusted monitor hold no
     // useful state (a re-appearing node is re-learned from its next ALIVE).
     const bool any_trusted =
-        std::any_of(state->monitors.begin(), state->monitors.end(),
-                    [](const auto& kv) { return kv.second->trusted(); });
+        std::any_of(state->links.begin(), state->links.end(),
+                    [](const link_record& l) { return l.monitor->trusted(); });
     if (!any_trusted && state->last_heard + kMonitorGcAfter < now) {
       gc.push_back(node);
     }
   }
   for (node_id node : gc) {
     // A GC'd remote's per-remote refinements must not apply to its
-    // reincarnation on a possibly different link. (No monitor is trusted
-    // here — GC requires it — but clear the trust mirror under the same
-    // invariant as every other teardown.)
-    forget_remote_refinements(node);
-    if (auto it = remotes_.find(node); it != remotes_.end()) {
-      forget_trust(node, *it->second);
-      remotes_.erase(it);
-    }
+    // reincarnation on a possibly different link.
+    for (auto& [group, record] : groups_) record.refinements.erase(node);
+    remotes_.erase(node);
   }
 }
 
@@ -331,21 +285,21 @@ void fd_manager::reconfigure_remote(node_id remote, remote_state& state) {
   // (and a say in its rate): iterating all registered groups here would
   // resurrect params for a (group, remote) that `drop` just tore down and
   // re-pin the dropped group's fast rate on the next pass.
-  for (auto& [group, monitor] : state.monitors) {
-    auto git = groups_.find(group);
-    if (git == groups_.end()) continue;
-    // Per-(group, remote) resolution: plan refinement > plan group default
-    // pin (eta, delta). An unpinned monitor keeps delta = T^U_D - the
+  for (link_record& rec : state.links) {
+    // A link exists only while its group is registered (remove_group
+    // erases the group's links).
+    const group_record& record = groups_.at(rec.group);
+    // Per-(group, remote) resolution: refinement > group default pin
+    // (eta, delta). An unpinned monitor keeps delta = T^U_D - the
     // announced eta and only picks the eta it asks for, solved against
     // *this* remote's link estimate; while that estimate is cold it asks
     // for nothing, so a newcomer never pulls a settled sender's rate.
-    if (auto pinned = params_override(group, remote)) {
-      state.params[group] = *pinned;
-      monitor->set_delta(pinned->delta);
+    if (auto pinned = record.resolve(remote)) {
+      rec.pin(*pinned);
     } else if (link.samples >= kMinSamples) {
-      state.params[group] = configure(git->second, link);
+      rec.params = configure(record.qos, link);
     } else {
-      state.params.erase(group);
+      rec.params.reset();
     }
   }
   renegotiate_rate(remote, state, clock_.now());
@@ -356,10 +310,11 @@ void fd_manager::renegotiate_rate(node_id remote, remote_state& state,
   // Min-combine the per-remote etas across all groups monitoring this
   // remote: the sender must satisfy its most demanding local group.
   duration min_eta{0};
-  for (const auto& [group, params] : state.params) {
-    if (groups_.find(group) == groups_.end()) continue;  // group removed
-    if (state.monitors.find(group) == state.monitors.end()) continue;
-    if (min_eta == duration{0} || params.eta < min_eta) min_eta = params.eta;
+  for (const link_record& link : state.links) {
+    if (!link.params) continue;
+    if (min_eta == duration{0} || link.params->eta < min_eta) {
+      min_eta = link.params->eta;
+    }
   }
   if (min_eta == duration{0}) return;  // nothing monitored here any more
 
@@ -383,7 +338,8 @@ void fd_manager::renegotiate_rate(node_id remote, remote_state& state,
 }
 
 bool fd_manager::is_trusted(group_id group, node_id remote) const {
-  return trusted_pairs_.find(trust_key(group, remote)) != trusted_pairs_.end();
+  const link_record* link = find_link(group, remote);
+  return link != nullptr && link->monitor->trusted();
 }
 
 link_estimate fd_manager::link_quality(node_id remote) const {
@@ -393,13 +349,15 @@ link_estimate fd_manager::link_quality(node_id remote) const {
 }
 
 fd_params fd_manager::current_params(group_id group, node_id remote) const {
-  if (auto pinned = params_override(group, remote)) return *pinned;
-  if (auto it = remotes_.find(remote); it != remotes_.end()) {
-    auto p = it->second->params.find(group);
-    if (p != it->second->params.end()) return p->second;
-  }
   auto git = groups_.find(group);
-  const qos_spec qos = git != groups_.end() ? git->second : qos_spec{};
+  if (git != groups_.end()) {
+    if (auto pinned = git->second.resolve(remote)) return *pinned;
+  }
+  if (const link_record* link = find_link(group, remote);
+      link != nullptr && link->params) {
+    return *link->params;
+  }
+  const qos_spec qos = git != groups_.end() ? git->second.qos : qos_spec{};
   return fd_params{duration{0}, qos.detection_time, false};
 }
 
@@ -411,13 +369,13 @@ duration fd_manager::requested_eta(node_id remote) const {
 
 std::size_t fd_manager::monitor_count() const {
   std::size_t n = 0;
-  for (const auto& [node, state] : remotes_) n += state->monitors.size();
+  for (const auto& [node, state] : remotes_) n += state->links.size();
   return n;
 }
 
 std::size_t fd_manager::plan_refinement_count() const {
   std::size_t n = 0;
-  for (const auto& [group, plan] : plans_) n += plan.remote_count();
+  for (const auto& [group, record] : groups_) n += record.refinements.size();
   return n;
 }
 

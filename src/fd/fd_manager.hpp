@@ -14,21 +14,21 @@
 // hysteresis. A monitor whose estimate holds fewer than `kMinSamples`
 // samples asks for nothing, so a newcomer never pulls a settled sender to
 // a cold-start rate. The unit of configuration is (group, remote): an
-// external tuning policy pins operating points through a layered `param_plan`
-// (group default + per-remote refinement), so one bad WAN link never drags
-// every clean LAN link in the group down to the worst link's delta.
+// external tuning policy pins a group default and per-remote refinements in
+// the group's record, so one bad WAN link never drags every clean LAN link
+// in the group down to the worst link's delta.
 // Loss is counted per (remote, group) heartbeat stream, since a remote
 // sends each group's payload only to that group's members. The pass's
 // cadence, the rate hysteresis and refresh, and the GC and silence
 // cutoffs are constants below: the detector has one configuration.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -37,7 +37,6 @@
 #include "fd/configurator.hpp"
 #include "fd/heartbeat_monitor.hpp"
 #include "fd/link_quality_estimator.hpp"
-#include "fd/param_plan.hpp"
 #include "fd/qos.hpp"
 #include "obs/sink.hpp"
 #include "proto/wire.hpp"
@@ -115,33 +114,35 @@ class fd_manager {
   /// Current link estimate for a remote (defaults if never heard).
   [[nodiscard]] link_estimate link_quality(node_id remote) const;
 
-  /// Operating point for (group, remote): the plan's pinned point, else
-  /// the configured eta this monitor asks for with delta = T^U_D - eta.
+  /// Operating point for (group, remote): the group's pinned point
+  /// (refinement, else default), else the configured eta this monitor asks
+  /// for with delta = T^U_D - eta.
   /// An unpinned monitor that asks for nothing yet (cold estimate, unknown
   /// remote) reads eta 0 and delta T^U_D, its horizon.
   [[nodiscard]] fd_params current_params(group_id group, node_id remote) const;
 
-  /// Pins the *group-default* layer of the group's operating-point plan:
-  /// the periodic reconfiguration pass stops consulting the configurator
-  /// for (group, remote) pairs the plan covers and applies the resolved
-  /// params (monitor deltas immediately, sender rates on the next pass).
-  /// A pinned monitor trusts a heartbeat sent at s with interval eta until
-  /// s + eta + the pinned delta.
+  /// Pins the group's default operating point: the periodic
+  /// reconfiguration pass stops consulting the configurator for the
+  /// group's links and applies the resolved params (monitor deltas
+  /// immediately, sender rates on the next pass). A pinned monitor trusts
+  /// a heartbeat sent at s with interval eta until s + eta + the pinned
+  /// delta.
   /// This is how an external tuning policy — the adaptation engine, or a
   /// frozen baseline — takes over from the built-in per-tick configurator.
-  /// Remotes with a per-remote refinement keep their refinement.
+  /// Remotes with a per-remote refinement keep their refinement. The plan
+  /// calls below ignore a group that was never added (or was removed).
   void set_params_override(group_id group, fd_params params);
-  /// Pins the operating point of one (group, remote) link — the per-remote
-  /// refinement layer. Takes precedence over the group default.
+  /// Pins the operating point of one (group, remote) link — a per-remote
+  /// refinement. Takes precedence over the group default.
   void set_params_override(group_id group, node_id remote, fd_params params);
-  /// Clears the whole plan of a group (default and all refinements); its
-  /// monitors return to delta = T^U_D - eta at once.
+  /// Clears the group's default and all its refinements; its monitors
+  /// return to delta = T^U_D - eta at once.
   void clear_params_override(group_id group);
   /// Clears one per-remote refinement; the group default (if any) applies
   /// again on the next reconfiguration pass, else the monitor returns to
   /// delta = T^U_D - eta at once.
   void clear_params_override(group_id group, node_id remote);
-  /// The group-default layer, if pinned.
+  /// The group default, if pinned.
   [[nodiscard]] std::optional<fd_params> params_override(group_id group) const;
   /// The resolved override for one (group, remote): refinement, else
   /// group default, else nullopt.
@@ -156,84 +157,91 @@ class fd_manager {
   /// Number of live (trusted or recently heard) monitors, for introspection.
   [[nodiscard]] std::size_t monitor_count() const;
 
-  /// Total per-remote refinement entries across all group plans — the
-  /// per-link override memory whose scaling the large-roster bench tracks.
+  /// Total per-remote refinement entries across all groups — the per-link
+  /// override memory whose scaling the large-roster bench tracks.
   [[nodiscard]] std::size_t plan_refinement_count() const;
 
  private:
-  void tick();
+  /// One local group: its QoS, class label and pinned operating points.
+  struct group_record {
+    qos_spec qos;
+    /// QoS class label of the inter-arrival histograms (set_group_class).
+    std::string label = "default";
+    /// The pinned group default; a per-remote refinement takes precedence.
+    std::optional<fd_params> pinned;
+    std::unordered_map<node_id, fd_params> refinements;
+
+    /// The refinement for `remote` if there is one, else the default.
+    [[nodiscard]] std::optional<fd_params> resolve(node_id remote) const {
+      auto it = refinements.find(remote);
+      return it != refinements.end() ? it->second : pinned;
+    }
+  };
+
+  /// One monitored (group, remote) link.
+  struct link_record {
+    group_id group;
+    std::unique_ptr<heartbeat_monitor> monitor;
+    /// The pinned point, or the configured one once the estimate is warm.
+    /// Empty while an unpinned monitor's estimate is cold, so that monitor
+    /// has no say in the remote's rate.
+    std::optional<fd_params> params;
+    /// The group's class histogram, or null without a metrics registry.
+    obs::histogram* interarrival = nullptr;
+
+    void pin(fd_params p) {
+      params = p;
+      monitor->set_delta(p.delta);
+    }
+  };
 
   struct remote_state {
     incarnation inc = 0;
     link_quality_estimator lqe;
-    std::unordered_map<group_id, std::unique_ptr<heartbeat_monitor>> monitors;
-    /// Per monitored group: the pinned point, or the configured one once
-    /// the estimate is warm. Absent while an unpinned monitor's estimate
-    /// is cold, so that monitor has no say in the remote's rate.
-    std::unordered_map<group_id, fd_params> params;
-    /// Positive-only lookup cache for the per-ALIVE hot path: (group,
-    /// monitor, inter-arrival cell) triples known to be registered and
-    /// monitored, scanned linearly (a node is in a handful of groups).
-    /// Cleared whenever `monitors` shrinks or a class label changes;
-    /// pointer targets are stable (unique_ptr map / registry cells).
-    struct hot_entry {
-      group_id group;
-      heartbeat_monitor* monitor;
-      /// The group's class histogram, or null without a metrics registry.
-      obs::histogram* interarrival;
-    };
-    std::vector<hot_entry> hot;
+    /// Scanned linearly: a node shares only a handful of groups with a
+    /// remote.
+    std::vector<link_record> links;
     duration last_requested_eta{0};
     time_point last_rate_sent{};
     time_point last_heard{};
+
+    [[nodiscard]] link_record* find(group_id group) {
+      for (link_record& link : links) {
+        if (link.group == group) return &link;
+      }
+      return nullptr;
+    }
+    [[nodiscard]] const link_record* find(group_id group) const {
+      return const_cast<remote_state*>(this)->find(group);
+    }
   };
 
+  void tick();
   void reconfigure_all();
   void reconfigure_remote(node_id remote, remote_state& state);
-  /// Removes `remote`'s refinement from every group plan (node gone/GC'd).
-  void forget_remote_refinements(node_id remote);
   /// Min-combines the per-group etas currently stored for `remote` and
   /// sends a RATE_REQ when the result moved beyond the hysteresis band (or
   /// the periodic refresh is due). Called from the reconfiguration pass and
   /// immediately from `drop`.
   void renegotiate_rate(node_id remote, remote_state& state, time_point now);
-  heartbeat_monitor& ensure_monitor(group_id group, const qos_spec& qos,
-                                    node_id remote, remote_state& state);
-  /// Returns the (group, remote) monitor in `state`, if any, to
-  /// delta = T^U_D - eta once no plan layer pins it.
-  void unpin(group_id group, remote_state& state);
-
-  static constexpr std::uint64_t trust_key(group_id group, node_id remote) {
-    return (static_cast<std::uint64_t>(group.value()) << 32) |
-           static_cast<std::uint64_t>(remote.value());
-  }
-  /// Drops every (group, remote) trust entry backed by `state`'s monitors —
-  /// the bulk-teardown paths (incarnation restart, GC) destroy
-  /// possibly-trusted monitors without firing transitions, and the mirror
-  /// must not outlive them.
-  void forget_trust(node_id remote, const remote_state& state);
+  link_record& add_link(group_id group, const group_record& record,
+                        node_id remote, remote_state& state);
+  [[nodiscard]] const link_record* find_link(group_id group,
+                                             node_id remote) const;
+  /// Resolves the inter-arrival histogram cell of a class label (null
+  /// without a metrics registry). Called when a link record is made or
+  /// relabelled, never per ALIVE.
+  [[nodiscard]] obs::histogram* interarrival_cell(const std::string& label);
 
   clock_source& clock_;
   timer_service& timers_;
   transition_handler on_transition_;
   rate_request_fn send_rate_request_;
   link_observer on_link_sample_;
-  /// Resolves the inter-arrival histogram cell for `group`'s class label
-  /// (null without a metrics registry). Cheap enough for hot-cache fills
-  /// only — the per-ALIVE path reads the cached cell.
-  [[nodiscard]] obs::histogram* interarrival_cell(group_id group);
-
   obs::sink* sink_ = nullptr;
-  std::unordered_map<group_id, qos_spec> groups_;
-  /// QoS class labels per group (see set_group_class).
-  std::unordered_map<group_id, std::string> classes_;
-  std::unordered_map<group_id, param_plan> plans_;
+  std::unordered_map<group_id, group_record> groups_;
+  /// Its iteration order is the order of each pass's RATE_REQs.
   std::unordered_map<node_id, std::unique_ptr<remote_state>> remotes_;
-  /// Mirror of "monitor exists and trusts" per (group, remote), maintained
-  /// at every trust edge and every monitor teardown. `is_trusted` is called
-  /// per contender per election evaluation, and the mirror answers it with
-  /// one flat hash probe instead of two chained map lookups.
-  std::unordered_set<std::uint64_t> trusted_pairs_;
   scoped_timer reconfig_timer_;
   bool running_ = false;
 };

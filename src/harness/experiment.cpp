@@ -33,10 +33,8 @@ experiment::experiment(scenario sc) : sc_(std::move(sc)), root_rng_(sc_.seed) {
       }
     }
   }
-  // Hierarchy: derive the region layout and apply region-scoped link
-  // profiles (intra-region pairs keep `links`, inter-region pairs switch
-  // to the WAN-grade profile when one is given).
-  if (sc_.hierarchy.enabled) {
+  // Hierarchy: derive the region layout.
+  if (!sc_.hierarchy.tiers.empty()) {
     topo_.emplace(hierarchy::topology(sc_.nodes, sc_.hierarchy.tiers));
     hier_metrics_ = std::make_unique<metrics::hierarchy_metrics>(
         topo_->groups_in_tier(0), [this](process_id pid) {
@@ -48,16 +46,6 @@ experiment::experiment(scenario sc) : sc_(std::move(sc)), root_rng_(sc_.seed) {
         [this](time_point now, std::optional<process_id> agreed) {
           hier_metrics_->on_global_agreement(now, agreed);
         });
-    if (sc_.hierarchy.inter_region_links) {
-      for (std::size_t i = 0; i < sc_.nodes; ++i) {
-        for (std::size_t j = 0; j < sc_.nodes; ++j) {
-          const node_id a{static_cast<std::uint32_t>(i)};
-          const node_id b{static_cast<std::uint32_t>(j)};
-          if (i == j || topo_->same_region(a, b)) continue;
-          net_->set_link_profile(a, b, *sc_.hierarchy.inter_region_links);
-        }
-      }
-    }
   }
 
   if (sc_.link_crashes.enabled) net_->enable_link_crashes(sc_.link_crashes);

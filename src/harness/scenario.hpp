@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,18 +48,14 @@ struct link_phase {
 /// per-region trackers + the cross-tier blame split land in
 /// `experiment_result::regions` / `outages_blamed_*`.
 struct hierarchy_profile {
-  bool enabled = false;
   /// The shape: groups per tier, ending in the single global group (e.g.
-  /// {12, 3, 1} = regions -> zones -> global).
+  /// {12, 3, 1} = regions -> zones -> global). Empty: no hierarchy.
   std::vector<std::size_t> tiers;
   /// Roster-scoped HELLO/LEAVE dissemination (the coordinator requests
   /// `membership::hello_fanout::roster` on every service). false keeps the
   /// cluster-wide anti-entropy — the pre-scoping baseline that
   /// bench/fig12_roster_scope compares against.
   bool scoped_hello = true;
-  /// Links between nodes of *different* regions; nullopt keeps
-  /// `scenario::links` for all pairs (region-scoped link profiles).
-  std::optional<net::link_profile> inter_region_links;
   /// FD QoS of the upper tiers. They join as the background class (the
   /// coordinator's default), so the listener-heavy upper groups relax
   /// heartbeat rates when adaptive.
@@ -70,7 +65,6 @@ struct hierarchy_profile {
   /// Two-tier shape: `regions` leaf groups under one global group.
   static hierarchy_profile with_regions(std::size_t regions) {
     hierarchy_profile h;
-    h.enabled = true;
     h.tiers = {regions, 1};
     return h;
   }
@@ -78,7 +72,6 @@ struct hierarchy_profile {
   /// under one global group (the §7 tiered composition at depth 3).
   static hierarchy_profile three_tier(std::size_t regions, std::size_t zones) {
     hierarchy_profile h;
-    h.enabled = true;
     h.tiers = {regions, zones, 1};
     return h;
   }

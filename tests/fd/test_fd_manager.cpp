@@ -1,11 +1,14 @@
 // fd_manager tests: the shared, per-workstation failure-detector module —
 // lazy monitor creation, trust transitions, incarnation handling, rate
-// renegotiation with hysteresis, and adaptation to degrading links.
+// renegotiation with hysteresis, adaptation to degrading links, and the
+// per-class inter-arrival histograms.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "fd/fd_manager.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "sim/simulator.hpp"
 
 namespace omega::fd {
@@ -495,6 +498,33 @@ TEST(FdManager, ParamsAdaptWhenLinkDegrades) {
   const auto lossy = f.fd.current_params(g1, remote);
   EXPECT_LT(lossy.eta, clean.eta)
       << "heavy loss must force faster heartbeats to hold the QoS";
+}
+
+TEST(FdManager, RelabelledGroupObservesUnderItsNewClass) {
+  fd_fixture f;
+  obs::registry reg;
+  obs::sink sink{&reg, nullptr, node_id{0}};
+  f.fd.set_sink(&sink);
+  f.fd.add_group(g1, qos_spec::paper_default());
+  f.fd.set_group_class(g1, "interactive");
+  const auto series = [&reg](const char* cls) -> const obs::histogram& {
+    return reg.get_histogram("omega_heartbeat_interarrival_seconds",
+                             {{"class", cls}, {"node", "0"}}, {});
+  };
+  // A receipt at the origin reads as "never heard": start past it.
+  f.sim.run_until(time_origin + sec(1));
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 3; ++i) {
+    f.fd.on_alive(f.alive(1, ++seq, msec(250)), f.sim.now());
+    f.sim.run_until(f.sim.now() + msec(250));
+  }
+  ASSERT_EQ(series("interactive").count(), 2u);  // the gaps between 3 receipts
+
+  f.fd.set_group_class(g1, "background");
+  f.fd.on_alive(f.alive(1, ++seq, msec(250)), f.sim.now());
+  EXPECT_EQ(series("background").count(), 1u)
+      << "the existing link must observe under the group's new class";
+  EXPECT_EQ(series("interactive").count(), 2u);
 }
 
 }  // namespace

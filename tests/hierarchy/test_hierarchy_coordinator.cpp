@@ -148,10 +148,15 @@ TEST(HierarchyCoordinator, StaleIncarnationRejoinDoesNotDemoteGlobalLeader) {
 TEST(HierarchyCoordinator, ListenersNeverBecomeGlobalCandidates) {
   // Region-scoped links: LAN inside regions, heavy-tailed (Pareto) WAN
   // between them — the deployment shape the hierarchy is for.
-  scenario sc = hier_sc();
-  sc.hierarchy.inter_region_links =
-      net::link_profile::heavy_tailed(msec(20), 0.01);
-  experiment exp(sc);
+  experiment exp(hier_sc());
+  const net::link_profile wan = net::link_profile::heavy_tailed(msec(20), 0.01);
+  for (std::uint32_t a = 0; a < 9; ++a) {
+    for (std::uint32_t b = 0; b < 9; ++b) {
+      if (a != b && !exp.topo()->same_region(node_id{a}, node_id{b})) {
+        exp.network().set_link_profile(node_id{a}, node_id{b}, wan);
+      }
+    }
+  }
   auto& sim = exp.simulator();
   ASSERT_TRUE(settle(exp).has_value());
 
