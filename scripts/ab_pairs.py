@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Alternating-pairs A/B of the repo benchmark: a parent revision against the
-working tree.
+"""Alternating-pairs A/B of the working tree against a parent revision.
 
     python3 scripts/ab_pairs.py --parent HEAD~1 --workload sim_hier_failover \\
         --first-seed 301 --pairs 10
@@ -16,8 +15,8 @@ For each end-to-end metric in BENCHMARK.json it prints the parent's median
 [q1, q3] (inclusive quartiles), the change's median, and in how many pairs
 the change read lower, equal and higher than the parent; then each side's
 failed share of kills. On sim_hier_failover it also prints whether each
-seed's fingerprint matched. Exits non-zero when any run fails the
-benchmark's own output check.
+seed's fingerprint matched, or MISSING when either run's notes lack one.
+Exits non-zero when any run fails the benchmark's own output check.
 """
 import argparse
 import json
@@ -38,14 +37,14 @@ def export(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_side(tree, build_dir, workload, seed, seconds):
+def run_side(tree, build_dir, workload, seed):
     """One benchmark run: its result line plus the fingerprint note, or
     None when the run or its output check failed."""
     env = dict(os.environ, CARGO_TARGET_DIR=build_dir)
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "e2ebench", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", "30", "--trace", "0"],
         cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True)
     lines = proc.stdout.splitlines()
@@ -88,9 +87,14 @@ def report(args, end_to_end, results):
             sum(r["attempted"] for r in done)))
     if args.workload == "sim_hier_failover":
         for seed, p, c in pairs:
+            if p["fingerprint"] is None or c["fingerprint"] is None:
+                verdict = "MISSING"
+            elif p["fingerprint"] == c["fingerprint"]:
+                verdict = "matches"
+            else:
+                verdict = "DIFFERS"
             print("seed %d fingerprint %s (parent %s, change %s)" % (
-                seed, "matches" if p["fingerprint"] == c["fingerprint"]
-                else "DIFFERS", p["fingerprint"], c["fingerprint"]))
+                seed, verdict, p["fingerprint"], c["fingerprint"]))
 
 
 def main():
@@ -100,7 +104,6 @@ def main():
                         choices=("live_failover", "sim_hier_failover"))
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=30)
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -119,8 +122,7 @@ def main():
             seed = args.first_seed + k
             got = {}
             for side in ("parent", "change")[::1 if k % 2 == 0 else -1]:
-                got[side] = run_side(*sides[side], args.workload, seed,
-                                     args.seconds)
+                got[side] = run_side(*sides[side], args.workload, seed)
                 if got[side] is None:
                     print("ab_pairs: %s run of seed %d failed" % (side, seed),
                           file=sys.stderr)

@@ -87,7 +87,9 @@ class fd_manager {
   /// (`omega_heartbeat_interarrival_seconds{class=...}`). Each received
   /// ALIVE observes its node-level inter-arrival gap once per distinct
   /// class among the carried groups this manager monitors. Unlabelled
-  /// groups fall under "default".
+  /// groups fall under "default". The label lives in the group's record:
+  /// labelling a group that is not registered is ignored, and remove_group
+  /// forgets the label, so a re-added group starts under "default".
   void set_group_class(group_id group, std::string label);
 
   /// Feeds one received ALIVE message: its delay sample at node level, then
