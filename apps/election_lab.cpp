@@ -159,7 +159,6 @@ int main(int argc, char** argv) {
              std::to_string(r.unjustified) + " unjustified, " +
              std::to_string(r.justified) + " justified)"});
   t.row({"leader crashes", std::to_string(r.leader_crashes)});
-  t.row({"CPU / workstation", harness::fmt_double(r.cpu_percent, 3) + " %"});
   t.row({"traffic / workstation",
          harness::fmt_double(r.kb_per_second, 2) + " KB/s"});
   t.row({"events executed", std::to_string(r.events_executed)});

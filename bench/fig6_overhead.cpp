@@ -1,16 +1,15 @@
-// Figure 6 — CPU and network-bandwidth overhead of S2 vs S3.
+// Figure 6 — network-bandwidth overhead of S2 vs S3.
 //
 // Paper (§6.5): per-workstation overhead at n = 4, 8, 12 workstations in
 // two networks — the real LAN (0.025 ms, 0) and the worst simulated lossy
 // network (100 ms, 0.1). S2's cost grows roughly quadratically with n
 // (every process heartbeats every other process forever), S3's only
 // linearly (eventually only the leader sends). Headline worst-case points:
-// S3 <= 0.04% CPU and 6.48 KB/s, S2 <= 0.3% CPU and 62.38 KB/s.
+// S3 <= 6.48 KB/s, S2 <= 62.38 KB/s.
 //
-// Absolute CPU% depends on the authors' P4 3.2 GHz hardware; our cost model
-// counts protocol work (messages sent/received, timer fires) and converts
-// with a fixed per-operation constant, so the *growth shape* and the
-// S2-vs-S3 ratio are the comparable quantities.
+// Only the traffic half is reproduced: the paper's CPU half measured the
+// authors' P4 3.2 GHz hosts, and a simulation has no host CPU to measure
+// (DESIGN.md §5). bench/fig14_live measures CPU on real sockets.
 #include <iostream>
 
 #include "bench_support.hpp"
@@ -20,15 +19,12 @@ using namespace omega;
 namespace {
 
 struct paper_point {
-  double cpu_lan, cpu_lossy;  // percent
   double kbs_lan, kbs_lossy;  // KB/s
 };
 
 // Read off Figure 6 (n = 4, 8, 12).
-constexpr paper_point kPaperS2[3] = {
-    {0.02, 0.05, 4.0, 8.0}, {0.08, 0.15, 14.0, 28.0}, {0.17, 0.30, 30.0, 62.38}};
-constexpr paper_point kPaperS3[3] = {
-    {0.005, 0.01, 1.2, 2.2}, {0.01, 0.02, 2.4, 4.4}, {0.02, 0.04, 3.6, 6.48}};
+constexpr paper_point kPaperS2[3] = {{4.0, 8.0}, {14.0, 28.0}, {30.0, 62.38}};
+constexpr paper_point kPaperS3[3] = {{1.2, 2.2}, {2.4, 4.4}, {3.6, 6.48}};
 
 harness::experiment_result run(election::algorithm alg, std::size_t n,
                                bool lossy) {
@@ -50,9 +46,6 @@ harness::experiment_result run(election::algorithm alg, std::size_t n,
 int main() {
   const std::size_t sizes[3] = {4, 8, 12};
 
-  harness::table cpu("Figure 6 (top): average CPU per workstation (%)");
-  cpu.headers({"n", "net", "S2 paper", "S2 measured", "S3 paper", "S3 measured",
-               "S2/S3 ratio"});
   harness::table net_tbl(
       "Figure 6 (bottom): average traffic per workstation (KB/s)");
   net_tbl.headers({"n", "net", "S2 paper", "S2 measured", "S3 paper",
@@ -64,15 +57,6 @@ int main() {
       const auto s3 = run(election::algorithm::omega_l, sizes[i], lossy);
       const char* net_label = lossy ? "(100ms, 0.1)" : "(0.025ms, 0)";
 
-      cpu.row({std::to_string(sizes[i]), net_label,
-               harness::fmt_double(lossy ? kPaperS2[i].cpu_lossy
-                                         : kPaperS2[i].cpu_lan, 3),
-               harness::fmt_double(s2.cpu_percent, 3),
-               harness::fmt_double(lossy ? kPaperS3[i].cpu_lossy
-                                         : kPaperS3[i].cpu_lan, 3),
-               harness::fmt_double(s3.cpu_percent, 3),
-               harness::fmt_double(s2.cpu_percent /
-                                       std::max(s3.cpu_percent, 1e-9), 1)});
       net_tbl.row({std::to_string(sizes[i]), net_label,
                    harness::fmt_double(lossy ? kPaperS2[i].kbs_lossy
                                              : kPaperS2[i].kbs_lan, 2),
@@ -86,7 +70,6 @@ int main() {
     }
   }
 
-  cpu.print(std::cout);
   net_tbl.print(std::cout);
   std::cout << "Expected shape: S2 grows ~quadratically with n, S3 ~linearly;\n"
                "overhead rises when the network degrades; at n = 12 the S2/S3\n"

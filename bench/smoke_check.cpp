@@ -21,7 +21,7 @@ int main() {
       std::cout << sc.name << ": P_leader=" << r.p_leader
                 << " Tr=" << r.tr_mean_s << "s (n=" << r.tr_samples << ")"
                 << " lambda_u=" << r.lambda_u << "/h"
-                << " cpu=" << r.cpu_percent << "% kb/s=" << r.kb_per_second
+                << " kb/s=" << r.kb_per_second
                 << " events=" << r.events_executed << " wall="
                 << std::chrono::duration_cast<std::chrono::milliseconds>(wall1 -
                                                                          wall0)

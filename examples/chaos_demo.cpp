@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
          harness::fmt_double(r.lambda_u, 2) + " /h (" +
              std::to_string(r.unjustified) + " total)"});
   t.row({"justified leader changes", std::to_string(r.justified)});
-  t.row({"CPU per workstation", harness::fmt_double(r.cpu_percent, 3) + " %"});
   t.row({"traffic per workstation",
          harness::fmt_double(r.kb_per_second, 2) + " KB/s"});
   t.row({"simulated hours", harness::fmt_double(r.simulated_hours, 2)});

@@ -5,14 +5,12 @@
 namespace omega::fd {
 
 void link_quality_estimator::on_heartbeat(time_point sent, time_point received) {
-  est_valid_ = false;
   ++total_received_;
   // Delay sample; clamp at zero in case of residual clock skew.
   delay_seconds_.add(std::max(0.0, to_seconds(received - sent)));
 }
 
 void link_quality_estimator::on_sequence(group_id stream, std::uint64_t seq) {
-  est_valid_ = false;
   const auto is_stream = [stream](const stream_epoch& e) { return e.stream == stream; };
   auto it = std::find_if(streams_.begin(), streams_.end(), is_stream);
   stream_epoch& epoch =
@@ -29,7 +27,6 @@ void link_quality_estimator::on_sequence(group_id stream, std::uint64_t seq) {
 }
 
 void link_quality_estimator::drop_stream(group_id stream) {
-  est_valid_ = false;
   std::erase_if(streams_,
                 [stream](const stream_epoch& e) { return e.stream == stream; });
 }
@@ -53,7 +50,6 @@ void link_quality_estimator::roll_epoch(stream_epoch& epoch) {
 }
 
 void link_quality_estimator::reset() {
-  est_valid_ = false;
   delay_seconds_.reset();
   total_received_ = 0;
   streams_.clear();
@@ -62,14 +58,9 @@ void link_quality_estimator::reset() {
 }
 
 link_estimate link_quality_estimator::estimate() const {
-  if (est_valid_) return est_cache_;
   link_estimate est;
   est.samples = delay_seconds_.count();
-  if (est.samples == 0) {  // defaults: see qos.hpp
-    est_cache_ = est;
-    est_valid_ = true;
-    return est;
-  }
+  if (est.samples == 0) return est;  // defaults: see qos.hpp
   est.delay_mean = from_seconds(delay_seconds_.mean());
   est.delay_stddev = from_seconds(delay_seconds_.stddev());
 
@@ -88,8 +79,6 @@ link_estimate link_quality_estimator::estimate() const {
     }
   }
   est.loss_probability = std::clamp(std::max(loss, kLossFloor), 0.0, 1.0);
-  est_cache_ = est;
-  est_valid_ = true;
   return est;
 }
 

@@ -60,7 +60,9 @@ class link_quality_estimator {
   /// so the old streams' statistics no longer apply).
   void reset();
 
-  /// Current (p_L, E[D], S[D]) estimate with the number of samples behind it.
+  /// Current (p_L, E[D], S[D]) estimate with the number of samples behind
+  /// it, computed on each call: O(1) delay statistics plus a scan over the
+  /// handful of streams.
   [[nodiscard]] link_estimate estimate() const;
 
   /// Total ALIVEs observed since the last reset.
@@ -81,13 +83,6 @@ class link_quality_estimator {
 
   windowed_stats delay_seconds_;
   std::uint64_t total_received_ = 0;
-
-  /// estimate() is a pure function of the sample state and is queried both
-  /// per received ALIVE (the link observer) and per remote per
-  /// reconfiguration tick; the memo makes every query between two
-  /// heartbeats free.
-  mutable bool est_valid_ = false;
-  mutable link_estimate est_cache_{};
 
   /// Scanned linearly: a sender carries a handful of groups.
   std::vector<stream_epoch> streams_;

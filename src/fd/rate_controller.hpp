@@ -37,9 +37,6 @@ class rate_controller {
   /// Records a rate request from `from` received at `now`.
   void on_request(node_id from, duration eta, time_point now);
 
-  /// Drops any outstanding request from `from` (it left or crashed).
-  void forget(node_id from);
-
   /// Smallest (fastest) unexpired requested interval; the default when no
   /// unexpired request is outstanding.
   [[nodiscard]] duration effective_eta(time_point now) const;
@@ -56,19 +53,8 @@ class rate_controller {
   };
 
   duration default_eta_;
+  /// Scanned per outgoing ALIVE; one entry per monitoring remote.
   std::unordered_map<node_id, request> requests_;
-
-  /// Memoized scan result. effective_eta() is called on every outgoing
-  /// ALIVE, and the full scan over per-remote requests made it O(cluster)
-  /// per heartbeat. The cached minimum stays exact until either a request
-  /// mutation that could raise the minimum (invalidation below) or the
-  /// earliest recorded expiry passes (`valid_until`); both trigger a fresh
-  /// scan. Mutations that can only lower or confirm the minimum update it
-  /// in place. `valid_until` is allowed to be conservative (early) — an
-  /// early rescan returns the same value, a late one could not.
-  mutable bool cache_valid_ = false;
-  mutable duration cached_min_{0};  // 0 = no unexpired request seen
-  mutable time_point valid_until_{};
 };
 
 }  // namespace omega::fd

@@ -7,6 +7,7 @@
 #include <utility>
 #include <variant>
 
+#include "metrics/cost_model.hpp"
 #include "obs/exposition.hpp"
 #include "obs/service_export.hpp"
 
@@ -537,14 +538,11 @@ experiment_result experiment::run() {
     res.outages_blamed_fault = hier_metrics_->outages_blamed_fault();
   }
 
-  double cpu = 0.0;
   double kbs = 0.0;
   for (const auto& ws : nodes_) {
-    const auto& t = net_->traffic(ws.node);
-    cpu += cost_.cpu_percent(t, sc_.measured);
-    kbs += metrics::cost_model::sent_kb_per_second(t, sc_.measured);
+    kbs += metrics::cost_model::sent_kb_per_second(net_->traffic(ws.node),
+                                                   sc_.measured);
   }
-  res.cpu_percent = cpu / static_cast<double>(sc_.nodes);
   res.kb_per_second = kbs / static_cast<double>(sc_.nodes);
   const double node_seconds =
       to_seconds(sc_.measured) * static_cast<double>(sc_.nodes);

@@ -13,7 +13,6 @@
 #include "harness/skewed_clock.hpp"
 #include "hierarchy/coordinator.hpp"
 #include "net/adversary.hpp"
-#include "metrics/cost_model.hpp"
 #include "metrics/group_metrics.hpp"
 #include "metrics/hierarchy_metrics.hpp"
 #include "net/sim_network.hpp"
@@ -40,7 +39,6 @@ struct experiment_result {
   std::uint64_t leader_crashes = 0;
 
   // Overhead (paper §6.5), averaged per workstation.
-  double cpu_percent = 0.0;
   double kb_per_second = 0.0;
   /// ALIVE datagrams emitted per workstation per second over the measured
   /// window (the heartbeat rate; the adaptive-tuning figures compare it).
@@ -242,7 +240,6 @@ class experiment {
   metrics::group_metrics metrics_;
   /// Per-region trackers + cross-tier blame split (hierarchy scenarios).
   std::unique_ptr<metrics::hierarchy_metrics> hier_metrics_;
-  metrics::cost_model cost_;
   group_id group_ = group_id{1};
   /// Counters accumulated from instances destroyed by churn, so rate
   /// accounting survives crash/recovery cycles.

@@ -90,11 +90,12 @@ std::vector<node_id> group_maintenance::snapshot_targets(group_id preferred) {
 
 void group_maintenance::update_local_candidacy(group_id group, bool candidate) {
   auto it = groups_.find(group);
-  if (it == groups_.end() || !it->second.local) return;
-  if (it->second.local->candidate == candidate) return;
+  if (it == groups_.end()) return;
+  member_info& local = it->second.local;
+  if (local.candidate == candidate) return;
   const time_point now = clock_.now();
-  it->second.local->candidate = candidate;
-  apply_upsert(group, it->second.local->pid, self_, inc_, candidate, now);
+  local.candidate = candidate;
+  apply_upsert(group, local.pid, self_, inc_, candidate, now);
   if (scoped_mode() && candidate) {
     // Promotion: every group member must (re)learn us as a candidate — the
     // listeners' scoped refreshes gate on the flag — and we must re-learn
@@ -126,7 +127,7 @@ void group_maintenance::local_leave(group_id group, process_id pid) {
   } else if (broadcast_) {
     broadcast_(leave);
   }
-  if (it->second.local && it->second.local->pid == pid) {
+  if (it->second.local.pid == pid) {
     // The local process was the node's member in this group: the node no
     // longer participates at all, so the whole group view is dropped.
     groups_.erase(it);
@@ -171,7 +172,7 @@ void group_maintenance::apply_upsert(group_id group, process_id pid, node_id nod
 
 bool group_maintenance::local_listener(group_id group) const {
   const auto it = groups_.find(group);
-  return it != groups_.end() && it->second.local && !it->second.local->candidate;
+  return it != groups_.end() && !it->second.local.candidate;
 }
 
 void group_maintenance::on_hello(const proto::hello_msg& msg, time_point now) {
@@ -267,14 +268,13 @@ void group_maintenance::sweep() {
 
 std::vector<node_id> group_maintenance::destinations(const group_state& state) const {
   std::vector<node_id> dsts;
-  if (!state.local) return dsts;
   if (!scoped_mode()) {
     for (const node_id node : cluster_roster_) {
       if (node != self_) dsts.push_back(node);
     }
     return dsts;
   }
-  const bool local_is_candidate = state.local->candidate;
+  const bool local_is_candidate = state.local.candidate;
   const time_point now = clock_.now();
   std::unordered_set<node_id> seen;
   for (const member_info& m : state.table.members_view()) {
@@ -308,9 +308,8 @@ void group_maintenance::emit_hello(bool sweep) {
   // one that gets no entry because the group's ALIVEs already reached it.
   std::unordered_set<node_id> covered;
   for (const auto& [group, state] : groups_) {
-    if (!state.local) continue;
     const auto entry = static_cast<std::uint32_t>(entries.size());
-    entries.push_back({group, state.local->pid, state.local->candidate});
+    entries.push_back({group, state.local.pid, state.local.candidate});
     // A sweep leaves out the nodes this group's ALIVEs reached.
     const std::unordered_set<node_id> skip =
         sweep ? reached(state) : std::unordered_set<node_id>{};
@@ -364,8 +363,7 @@ proto::hello_msg group_maintenance::build_hello(bool reply_requested) const {
   msg.inc = inc_;
   msg.reply_requested = reply_requested;
   for (const auto& [group, state] : groups_) {
-    if (!state.local) continue;
-    msg.entries.push_back({group, state.local->pid, state.local->candidate});
+    msg.entries.push_back({group, state.local.pid, state.local.candidate});
   }
   return msg;
 }
@@ -417,7 +415,8 @@ std::vector<group_id> group_maintenance::groups() const {
 
 std::optional<member_info> group_maintenance::local_member(group_id group) const {
   auto it = groups_.find(group);
-  return it != groups_.end() ? it->second.local : std::nullopt;
+  if (it == groups_.end()) return std::nullopt;
+  return it->second.local;
 }
 
 std::vector<node_id> group_maintenance::group_roster(group_id group) const {

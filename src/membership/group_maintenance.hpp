@@ -218,7 +218,7 @@ class group_maintenance {
  private:
   struct group_state {
     member_table table;
-    std::optional<member_info> local;  // this node's process in the group
+    member_info local;  // this node's process in the group
     /// An ALIVE carried this node's payload since the previous sweep.
     bool heartbeated = false;
   };
@@ -236,7 +236,7 @@ class group_maintenance {
   [[nodiscard]] bool local_listener(group_id group) const;
   /// Per-group destination set of the planner: under `roster`, candidate
   /// -> group roster, listener -> live candidates' hosts; under `all`, the
-  /// cluster roster minus self. Empty if the group has no local member.
+  /// cluster roster minus self.
   [[nodiscard]] std::vector<node_id> destinations(const group_state& state) const;
   [[nodiscard]] bool scoped_mode() const {
     return opts_.fanout == hello_fanout::roster;

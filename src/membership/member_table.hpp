@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -58,8 +57,8 @@ class member_table {
   /// First-hand evidence also records (or, when not a candidate, clears)
   /// the member's candidacy claim in the same entry. If `prior` is
   /// non-null, it receives the entry as it was before the call (unchanged
-  /// when the result is `joined`) — saves the caller a second hash lookup
-  /// on the per-ALIVE path.
+  /// when the result is `joined`) — saves the caller a second lookup on
+  /// the per-ALIVE path.
   upsert_result upsert(process_id pid, node_id node, incarnation inc,
                        bool candidate, time_point now,
                        evidence source = evidence::first_hand,
@@ -70,19 +69,20 @@ class member_table {
   std::optional<member_info> remove(process_id pid, incarnation inc);
 
   /// Removes members whose last refresh is older than `cutoff` and for whom
-  /// `still_vouched(member)` is false. Returns the evicted entries.
+  /// `still_vouched(member)` is false. Returns the evicted entries in pid
+  /// order.
   std::vector<member_info> evict_stale(
       time_point cutoff, const std::function<bool(const member_info&)>& still_vouched);
 
   [[nodiscard]] const member_info* find(process_id pid) const;
-  [[nodiscard]] std::vector<member_info> members() const;
+  [[nodiscard]] std::vector<member_info> members() const { return members_; }
 
-  /// The members sorted by pid, as a reference into a cache that stays valid
-  /// until the next membership *change* (join/leave/eviction). Timestamp
-  /// refreshes — the once-per-ALIVE common case — patch the cache in place,
-  /// so the election hot path reads the roster without copying or sorting
-  /// it. The reference is invalidated by any non-const member call.
-  [[nodiscard]] const std::vector<member_info>& members_view() const;
+  /// The members sorted by pid: the table's own storage, so the election
+  /// hot path reads the roster without copying it. The reference stays
+  /// valid; elements and iterators are invalidated by any non-const call.
+  [[nodiscard]] const std::vector<member_info>& members_view() const {
+    return members_;
+  }
 
   [[nodiscard]] std::size_t size() const { return members_.size(); }
   [[nodiscard]] bool empty() const { return members_.empty(); }
@@ -94,28 +94,8 @@ class member_table {
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
  private:
-  /// Mirrors an updated entry into the sorted cache (pid unchanged, so the
-  /// sort position is stable). No-op while the cache is invalid.
-  void patch_cache(const member_info& m);
-  /// Sorted-position insert / erase keeping the cache valid across single
-  /// joins and removals; the bulk removal (evict_stale) just invalidates
-  /// instead. No-ops while the cache is invalid.
-  void insert_cache(const member_info& m);
-  void erase_cache(process_id pid);
-
-  std::unordered_map<process_id, member_info> members_;
-  mutable std::vector<member_info> sorted_cache_;
-  mutable bool cache_valid_ = false;
+  std::vector<member_info> members_;  // sorted by pid
   std::uint64_t version_ = 0;
-
-  /// Lower bound on every member's last_refresh, so the periodic eviction
-  /// sweep can prove "nobody is stale" without scanning. Refreshes only
-  /// raise timestamps (time is monotone) and removals only raise the true
-  /// minimum, so the bound stays valid between full scans; inserts fold
-  /// their timestamp in. evict_stale recomputes it exactly when it does
-  /// scan. A conservative (low) bound only costs an unnecessary scan.
-  time_point min_refresh_bound_{};
-  bool min_bound_valid_ = false;
 };
 
 }  // namespace omega::membership

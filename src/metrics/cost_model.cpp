@@ -2,17 +2,6 @@
 
 namespace omega::metrics {
 
-double cost_model::cpu_percent(const net::traffic_totals& t, duration elapsed) const {
-  const double seconds = to_seconds(elapsed);
-  if (seconds <= 0.0) return 0.0;
-  const double datagrams =
-      static_cast<double>(t.datagrams_sent + t.datagrams_received);
-  const double kilobytes =
-      static_cast<double>(t.bytes_sent + t.bytes_received) / 1024.0;
-  const double busy_us = datagrams * us_per_datagram + kilobytes * us_per_kilobyte;
-  return busy_us / (seconds * 1e6) * 100.0;
-}
-
 double cost_model::sent_kb_per_second(const net::traffic_totals& t,
                                       duration elapsed) {
   const double seconds = to_seconds(elapsed);

@@ -71,13 +71,6 @@ TEST(RateController, LatestRequestPerNodeWins) {
   EXPECT_EQ(rc.outstanding_requests(), 1u);
 }
 
-TEST(RateController, ForgetDropsNode) {
-  rate_controller rc(msec(250));
-  rc.on_request(node_id{1}, msec(50), time_origin);
-  rc.forget(node_id{1});
-  EXPECT_EQ(rc.effective_eta(time_origin), msec(250));
-}
-
 TEST(RateController, MalformedRequestIgnored) {
   rate_controller rc(msec(250));
   rc.on_request(node_id{1}, duration{0}, time_origin);

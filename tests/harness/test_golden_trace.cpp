@@ -110,8 +110,11 @@ std::string run_golden_trace(bool causal = false) {
 // elector applies only the newest payload seq of each process incarnation,
 // a scoped listener skips other listeners' HELLO entries, and a snapshot
 // never rewrites the local member. The listener churn is gone
-// (9537638 -> 8492948 bytes).
-constexpr std::uint64_t kGoldenTraceHash = 0xbd80b8b873158d96ull;
+// (9537638 -> 8492948 bytes). Then, with the stamped and three-tier values:
+// evictions within a sweep leave in pid order (the member table became one
+// pid-sorted vector; they left in hash-map bucket order), which reorders
+// the eviction events of one sweep and nothing else (same byte counts).
+constexpr std::uint64_t kGoldenTraceHash = 0x8be6e1c4f11196baull;
 constexpr std::size_t kGoldenTraceBytes = 8492948;
 
 TEST(GoldenTrace, Scoped3RunMatchesSeedSemantics) {
@@ -136,7 +139,7 @@ TEST(GoldenTrace, TwoRunsAreByteIdentical) {
 // not perturb the event timeline (stamps ride existing datagrams; the sim's
 // link delays are size-independent), so the JSONL differs from the golden
 // stream only by the added "cause" fields — pinned separately.
-constexpr std::uint64_t kGoldenStampedHash = 0x1fc845172dfdca18ull;
+constexpr std::uint64_t kGoldenStampedHash = 0x83d1ad7d38b70c10ull;
 constexpr std::size_t kGoldenStampedBytes = 10218321;
 
 TEST(GoldenTrace, StampedRunHasItsOwnPinnedFingerprint) {
@@ -248,8 +251,9 @@ std::string run_adaptive_three_tier_golden_trace() {
 // candidacy claims, and again with all four when sweeps began to leave out
 // what ALIVEs delivered. In this 18-node run the listeners' stale copies
 // of the boot-time candidates are now evicted once, about 30 s in
-// (270296 -> 281601 bytes).
-constexpr std::uint64_t kGoldenAdaptiveThreeTierHash = 0xc614835789b5e45full;
+// (270296 -> 281601 bytes). Re-pinned once more when evictions within a
+// sweep began to leave in pid order (same byte count).
+constexpr std::uint64_t kGoldenAdaptiveThreeTierHash = 0x5ab41bb55c13b8bfull;
 constexpr std::size_t kGoldenAdaptiveThreeTierBytes = 281601;
 
 TEST(GoldenTrace, AdaptiveThreeTierRunMatchesPinnedFingerprint) {
